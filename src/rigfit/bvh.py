@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import BvhParseError, ValidationError
 from .rotations import (
-    axis_angle_to_matrix,
+    batch_axis_angle_to_matrix,
     euler_to_matrix,
     matrix_to_axis_angle,
     matrix_to_euler,
@@ -290,13 +290,12 @@ def write_bvh(document):
     lines.append(f"Frames: {clip.frame_count}")
     lines.append(f"Frame Time: {_fmt(document.frame_time)}")
     for t, frame in enumerate(clip.frames):
+        matrices = batch_axis_angle_to_matrix(frame.rotations)
         row = []
         for j in range(skel.joint_count):
             chans = document.channel_layout[j]
             order = _rotation_order(chans)
-            angles = np.rad2deg(
-                matrix_to_euler(axis_angle_to_matrix(frame.rotations[j]), order)
-            )
+            angles = np.rad2deg(matrix_to_euler(matrices[j], order))
             if j == 0:
                 translation = frame.root_translation
             elif j in document.extra_translations:

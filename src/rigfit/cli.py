@@ -6,6 +6,7 @@ Machine output goes to stdout; diagnostics go to stderr via logging.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -16,10 +17,10 @@ import numpy as np
 from .bvh import BvhDocument, parse_bvh, write_bvh
 from .errors import ValidationError
 from .fit import FitConfig, fit_sequence
-from .metrics import SkeletonInstance, cd_skeleton, mpjpe, mpjve
+from .metrics import cd_skeleton_sequence, mpjpe, mpjve
 from .normalize import remove_global_translation, sequence_normalize
 from .skeleton import AnimationClip, JointTrajectory, Pose, fk_sequence
-from .trajectory import load_trajectory, save_trajectory, trajectory_to_dict
+from .trajectory import load_trajectory, save_trajectory
 
 log = logging.getLogger("rigfit")
 
@@ -139,6 +140,13 @@ def cmd_fit(args):
 def cmd_eval(args):
     pred, _pred_names, pred_parents = _load_side(args.pred)
     gt, _gt_names, gt_parents = _load_side(args.gt)
+    if pred.joint_count == gt.joint_count:
+        # a BVH side marks every joint valid: score the joints both sides trust
+        shared = pred.mask & gt.mask
+        if not shared.any():
+            raise ValidationError("pred and gt have no valid joint in common")
+        pred = dataclasses.replace(pred, mask=shared)
+        gt = dataclasses.replace(gt, mask=shared)
     space = "input"
     if args.normalize:
         pred = _normalize_side(pred)
@@ -163,16 +171,9 @@ def cmd_eval(args):
             if gt.joint_count != len(pred_parents):
                 raise ValidationError("cannot borrow parents: joint counts differ")
             gt_parents = pred_parents
-        if pred.frame_count != gt.frame_count:
-            raise ValidationError("frame count mismatch between pred and gt")
-        values = [
-            cd_skeleton(
-                SkeletonInstance(pred.positions[t], pred_parents),
-                SkeletonInstance(gt.positions[t], gt_parents),
-            )
-            for t in range(pred.frame_count)
-        ]
-        report["cds"] = float(np.mean(values))
+        values, report["cds"] = cd_skeleton_sequence(
+            pred.positions, pred_parents, gt.positions, gt_parents
+        )
         report["cds_per_frame"] = values
     json.dump(report, sys.stdout)
     sys.stdout.write("\n")

@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .rotations import (
-    axis_angle_jacobian,
     batch_axis_angle_jacobian,
     matrix_to_axis_angle,
     orthogonal_procrustes,
@@ -165,7 +164,7 @@ def fit_loss(skeleton, theta, target, theta_geo, mask, config,
 def fit_loss_gradient(
     skeleton, theta, target, theta_geo, mask, config, root_translation=None
 ):
-    """Analytic gradient of the total loss w.r.t. all axis-angle components.
+    """Analytic gradient of the total loss: 2 J^T r of the solver's residual.
 
     If config.fit_root_translation is set, three root-translation components
     are appended, giving a (3N + 3)-vector; otherwise a 3N-vector.
@@ -176,42 +175,11 @@ def fit_loss_gradient(
     mask = np.asarray(mask, dtype=bool)
     if root_translation is None:
         root_translation = np.zeros(3)
-    parents = skeleton.parents
-    P, G = fk_positions_and_frames(skeleton, theta, root_translation)
-    nv = int(mask.sum())
-    r = np.where(mask[:, None], P - target, 0.0)
-
-    # Reverse-topological subtree sums:
-    #   U_i = sum_{k in subtree(i)} m_k P_k r_k^T,  V_i = sum m_k r_k^T.
-    # The position term for joint i needs A_i over strict descendants:
-    #   A_i = sum m_k (P_k - P_i) r_k^T.
-    U = np.einsum("i,ic,id->icd", mask, P, r)
-    V = np.einsum("i,ic->ic", mask, r)
-    for i in range(n - 1, 0, -1):
-        p = parents[i]
-        U[p] += U[i]
-        V[p] += V[i]
-
-    grad = np.zeros((n, 3))
-    for i in range(n):
-        mi = float(mask[i])
-        A = (U[i] - mi * np.outer(P[i], r[i])) - np.outer(P[i], V[i] - mi * r[i])
-        if not A.any():
-            continue
-        Gp = np.eye(3) if parents[i] < 0 else G[parents[i]]
-        C = Gp.T @ A.T @ G[i]
-        J = axis_angle_jacobian(theta[i])
-        grad[i] = (2.0 / nv) * np.einsum("acd,cd->a", J, C)
-
-    grad += (2.0 * config.lambda_prior / n) * (theta - theta_geo)
-    u = _bone_axes(skeleton)
-    twists = np.einsum("ic,ic->i", theta, u)
-    grad += (2.0 * config.lambda_twist / n) * twists[:, None] * u
-
-    if config.fit_root_translation:
-        g_root = (2.0 / nv) * r.sum(axis=0)
-        return np.concatenate([grad.ravel(), g_root])
-    return grad.ravel()
+    r, J = _residual_jacobian(
+        skeleton, theta, target, theta_geo, mask, config, root_translation,
+        _descendant_lists(skeleton),
+    )
+    return 2.0 * (J.T @ r)
 
 
 def _descendant_lists(skeleton):

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .skeleton import forward_kinematics
 
 
 @dataclass(frozen=True)
@@ -134,22 +133,21 @@ def cd_skeleton(a, b):
     return 0.5 * (cd_skeleton_directed(a, b) + cd_skeleton_directed(b, a))
 
 
-def cd_skeleton_sequence(clip, skeleton, gt_positions, gt_parents):
+def cd_skeleton_sequence(pred_positions, pred_parents, gt_positions, gt_parents):
     """Per-frame symmetric skeleton Chamfer distance plus its mean.
 
-    The predicted side is the FK of the clip on its skeleton; the ground
-    truth side is raw positions with its own parent array.
+    Each side is a (T, N, 3) position sequence with its own parent array;
+    the two sides may differ in joint count but not in frame count.
     """
+    pred_positions = np.asarray(pred_positions, dtype=float)
     gt_positions = np.asarray(gt_positions, dtype=float)
-    if gt_positions.ndim != 3 or gt_positions.shape[2] != 3:
-        raise ValidationError("ground-truth positions must be TxNx3")
-    if clip.frame_count != gt_positions.shape[0]:
-        raise ValidationError("frame count mismatch between clip and ground truth")
-    per_frame = []
-    for t, frame in enumerate(clip.frames):
-        pred = SkeletonInstance(
-            positions=forward_kinematics(skeleton, frame), parents=skeleton.parents
-        )
-        gt = SkeletonInstance(positions=gt_positions[t], parents=gt_parents)
-        per_frame.append(cd_skeleton(pred, gt))
+    for positions in (pred_positions, gt_positions):
+        if positions.ndim != 3 or positions.shape[2] != 3:
+            raise ValidationError("position sequences must be TxNx3")
+    if pred_positions.shape[0] != gt_positions.shape[0]:
+        raise ValidationError("frame count mismatch between pred and gt")
+    per_frame = [
+        cd_skeleton(SkeletonInstance(p, pred_parents), SkeletonInstance(g, gt_parents))
+        for p, g in zip(pred_positions, gt_positions)
+    ]
     return per_frame, float(np.mean(per_frame))

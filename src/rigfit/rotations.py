@@ -18,27 +18,27 @@ EULER_ORDERS = ("XYZ", "XZY", "YXZ", "YZX", "ZXY", "ZYX")
 
 
 def skew(v):
-    """Cross-product matrix [v]_x so that skew(v) @ w == cross(v, w)."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Cross-product matrices [v]_x of a (..., 3) stack; result (..., 3, 3).
+
+    skew(v) @ w == cross(v, w) for each vector v of the stack.
+    """
+    v = np.asarray(v, dtype=float)
+    K = np.zeros(v.shape[:-1] + (3, 3))
+    K[..., 0, 1] = -v[..., 2]
+    K[..., 0, 2] = v[..., 1]
+    K[..., 1, 0] = v[..., 2]
+    K[..., 1, 2] = -v[..., 0]
+    K[..., 2, 0] = -v[..., 1]
+    K[..., 2, 1] = v[..., 0]
+    return K
 
 
 def axis_angle_to_matrix(theta):
-    """Rodrigues formula, series-safe near zero angle."""
+    """Rodrigues formula for one axis-angle vector (see the batched form)."""
     theta = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise ValidationError("axis-angle vector must be finite")
-    a2 = float(theta @ theta)
-    a = np.sqrt(a2)
-    K = skew(theta)
-    if a < _TINY_ANGLE:
-        # sin(a)/a -> 1 - a^2/6, (1-cos a)/a^2 -> 1/2 - a^2/24
-        s = 1.0 - a2 / 6.0
-        c = 0.5 - a2 / 24.0
-    else:
-        s = np.sin(a) / a
-        c = (1.0 - np.cos(a)) / a2
-    return np.eye(3) + s * K + c * (K @ K)
+    return batch_axis_angle_to_matrix(theta[None])[0]
 
 
 def is_rotation_matrix(R, atol=1e-6):
@@ -214,21 +214,16 @@ def matrix_to_euler(R, order):
 
 
 def batch_axis_angle_to_matrix(thetas):
-    """Rodrigues formula for an (N, 3) stack of axis-angle vectors."""
+    """Rodrigues formula for an (N, 3) stack, series-safe near zero angle."""
     thetas = np.asarray(thetas, dtype=float)
     n = thetas.shape[0]
     a2 = np.einsum("ic,ic->i", thetas, thetas)
     a = np.sqrt(a2)
-    K = np.zeros((n, 3, 3))
-    K[:, 0, 1] = -thetas[:, 2]
-    K[:, 0, 2] = thetas[:, 1]
-    K[:, 1, 0] = thetas[:, 2]
-    K[:, 1, 2] = -thetas[:, 0]
-    K[:, 2, 0] = -thetas[:, 1]
-    K[:, 2, 1] = thetas[:, 0]
+    K = skew(thetas)
     small = a < _TINY_ANGLE
     s = np.empty(n)
     c = np.empty(n)
+    # sin(a)/a -> 1 - a^2/6, (1-cos a)/a^2 -> 1/2 - a^2/24
     s[small] = 1.0 - a2[small] / 6.0
     c[small] = 0.5 - a2[small] / 24.0
     if np.any(~small):
@@ -238,59 +233,30 @@ def batch_axis_angle_to_matrix(thetas):
 
 
 def batch_axis_angle_jacobian(thetas):
-    """d(Rodrigues)/d(theta) for an (N, 3) stack; result (N, 3, 3, 3)."""
+    """d(Rodrigues)/d(theta) for an (N, 3) stack; result (N, 3, 3, 3).
+
+    J[i, a] = dR_i/dtheta_a uses the closed form d R/d theta_a =
+    ((theta_a [theta]_x + [theta x ((I - R) e_a)]_x) / ||theta||^2) R,
+    with the small-angle limit [e_a]_x.
+    """
     thetas = np.asarray(thetas, dtype=float)
-    n = thetas.shape[0]
     a2 = np.einsum("ic,ic->i", thetas, thetas)
     R = batch_axis_angle_to_matrix(thetas)
-    K = np.zeros((n, 3, 3))
-    K[:, 0, 1] = -thetas[:, 2]
-    K[:, 0, 2] = thetas[:, 1]
-    K[:, 1, 0] = thetas[:, 2]
-    K[:, 1, 2] = -thetas[:, 0]
-    K[:, 2, 0] = -thetas[:, 1]
-    K[:, 2, 1] = thetas[:, 0]
+    K = skew(thetas)
     # v_a = theta_a theta + theta x ((I - R) e_a); the cross products for all
     # three axes are the columns of K (I - R)
     cross_cols = K @ (np.eye(3) - R)  # (n, c, a)
     v = thetas[:, :, None] * thetas[:, None, :]  # v[i, a, c] = theta_a theta_c
     v = v + cross_cols.transpose(0, 2, 1)
-    V = np.zeros((n, 3, 3, 3))  # skew(v_a) per axis
-    V[:, :, 0, 1] = -v[:, :, 2]
-    V[:, :, 0, 2] = v[:, :, 1]
-    V[:, :, 1, 0] = v[:, :, 2]
-    V[:, :, 1, 2] = -v[:, :, 0]
-    V[:, :, 2, 0] = -v[:, :, 1]
-    V[:, :, 2, 1] = v[:, :, 0]
+    V = skew(v)  # skew(v_a) per axis
     small = a2 < 1e-14
     scale = 1.0 / np.where(small, 1.0, a2)
     J = np.einsum("i,iacd,ide->iace", scale, V, R)
     if np.any(small):
-        limit = np.stack([skew(e) for e in np.eye(3)])  # [e_a]_x
-        J[small] = limit
+        J[small] = skew(np.eye(3))
     return J
 
 
 def axis_angle_jacobian(theta):
-    """d(Rodrigues matrix)/d(theta) as a (3, 3, 3) array, J[a] = dR/dtheta_a.
-
-    Uses the closed form d R/d theta_a =
-    ((theta_a [theta]_x + [theta x ((I - R) e_a)]_x) / ||theta||^2) R,
-    with the small-angle limit [e_a]_x.
-    """
-    theta = np.asarray(theta, dtype=float)
-    a2 = float(theta @ theta)
-    J = np.empty((3, 3, 3))
-    if a2 < 1e-14:
-        for a in range(3):
-            e = np.zeros(3)
-            e[a] = 1.0
-            J[a] = skew(e)
-        return J
-    R = axis_angle_to_matrix(theta)
-    I = np.eye(3)
-    for a in range(3):
-        e = I[a]
-        v = theta[a] * theta + np.cross(theta, (I - R) @ e)
-        J[a] = (skew(v) / a2) @ R
-    return J
+    """d(Rodrigues matrix)/d(theta) as a (3, 3, 3) array, J[a] = dR/dtheta_a."""
+    return batch_axis_angle_jacobian(np.asarray(theta, dtype=float)[None])[0]

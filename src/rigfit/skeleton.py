@@ -6,11 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SkeletonError, ValidationError
-from .rotations import (
-    axis_angle_to_matrix,
-    batch_axis_angle_to_matrix,
-    canonicalize_axis_angle,
-)
+from .rotations import batch_axis_angle_to_matrix, canonicalize_axis_angle
 
 _ZERO_OFFSET_EPS = 1e-12
 

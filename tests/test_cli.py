@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from rigfit import JointTrajectory
 from rigfit.bvh import parse_bvh
 from rigfit.cli import main
 from rigfit.metrics import mpjpe
@@ -126,6 +127,31 @@ class TestEval:
         assert report["cds"] == pytest.approx(0.0, abs=1e-5)
         # two JSON sides carry no hierarchy at all: validation error
         assert run("eval", "--pred", pa, "--gt", pb, "--metric", "cds") == 2
+
+    def test_masked_trajectory_scores_shared_joints(self, tmp_path, capsys):
+        # a BVH side is valid everywhere; only the JSON side's valid joints count
+        bvh, js = synth_pair(tmp_path)
+        traj, names = load_trajectory(js)
+        moved = traj.positions.copy()
+        moved[:, 1] += 5.0  # would dominate MPJPE if the masked joint were scored
+        masked = JointTrajectory(positions=moved, mask=[True, False, True], fps=traj.fps)
+        obs = str(tmp_path / "obs.json")
+        save_trajectory(obs, masked, names)
+        assert run("eval", "--pred", bvh, "--gt", obs, "--metric", "all") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mpjpe"] == pytest.approx(0.0, abs=1e-5)
+        assert report["mpjve"] == pytest.approx(0.0, abs=1e-3)
+
+    def test_no_shared_valid_joint_exit_2(self, tmp_path, caplog):
+        _, js = synth_pair(tmp_path)
+        traj, names = load_trajectory(js)
+        paths = []
+        for k, mask in enumerate(([True, False, False], [False, True, True])):
+            paths.append(str(tmp_path / f"side{k}.json"))
+            side = JointTrajectory(positions=traj.positions, mask=mask, fps=traj.fps)
+            save_trajectory(paths[-1], side, names)
+        assert run("eval", "--pred", paths[0], "--gt", paths[1], "--metric", "mpjpe") == 2
+        assert "no valid joint in common" in caplog.text
 
     def test_normalize_flag(self, tmp_path, capsys):
         bvh, js = synth_pair(tmp_path)

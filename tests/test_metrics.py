@@ -183,7 +183,9 @@ class TestCdSkeletonSequence:
         sk = random_skeleton(rng, 6)
         clip = smooth_clip(rng, 6, 4)
         gt = fk_sequence(sk, clip)
-        per_frame, mean = cd_skeleton_sequence(clip, sk, gt.positions, sk.parents)
+        per_frame, mean = cd_skeleton_sequence(
+            fk_sequence(sk, clip).positions, sk.parents, gt.positions, sk.parents
+        )
         np.testing.assert_allclose(per_frame, 0.0, atol=1e-12)
         assert mean == pytest.approx(0.0)
 
@@ -192,7 +194,9 @@ class TestCdSkeletonSequence:
         clip = smooth_clip(rng, 4, 2)
         gt = fk_sequence(sk, clip).positions.copy()
         gt[1] += np.array([0.0, 1.0, 0.0])  # rigid shift of frame 1 only
-        per_frame, mean = cd_skeleton_sequence(clip, sk, gt, sk.parents)
+        per_frame, mean = cd_skeleton_sequence(
+            fk_sequence(sk, clip).positions, sk.parents, gt, sk.parents
+        )
         assert mean == pytest.approx(np.mean(per_frame))
         assert per_frame[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -201,4 +205,4 @@ class TestCdSkeletonSequence:
         clip = smooth_clip(rng, 4, 3)
         gt = fk_sequence(sk, clip).positions[:2]
         with pytest.raises(ValidationError):
-            cd_skeleton_sequence(clip, sk, gt, sk.parents)
+            cd_skeleton_sequence(fk_sequence(sk, clip).positions, sk.parents, gt, sk.parents)

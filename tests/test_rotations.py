@@ -28,6 +28,16 @@ def random_rotation(rng):
     return axis_angle_to_matrix(theta)
 
 
+def single_formula_thetas(rng):
+    """Generic vectors plus both sides of the small-angle switch-overs."""
+    return np.vstack([
+        rng.normal(size=(200, 3)) * rng.uniform(0.0, 4.0, size=(200, 1)),
+        rng.normal(size=(20, 3)) * 1e-9,  # series branch of R and J
+        rng.normal(size=(20, 3)) * 5e-8,  # closed-form R, limit J
+        np.zeros((1, 3)),
+    ])
+
+
 class TestAxisAngleToMatrix:
     def test_zero_gives_identity(self):
         assert np.array_equal(axis_angle_to_matrix(np.zeros(3)), np.eye(3))
@@ -53,6 +63,20 @@ class TestAxisAngleToMatrix:
         batch = batch_axis_angle_to_matrix(thetas)
         for i, t in enumerate(thetas):
             np.testing.assert_allclose(batch[i], axis_angle_to_matrix(t), atol=1e-13)
+
+    def test_skew_of_stack_matches_rows(self, rng):
+        v = rng.normal(size=(7, 3))
+        K = skew(v)
+        assert K.shape == (7, 3, 3)
+        for i, row in enumerate(v):
+            assert np.array_equal(K[i], skew(row))
+            np.testing.assert_allclose(K[i] @ [1.0, 2.0, 3.0], np.cross(row, [1.0, 2.0, 3.0]))
+
+    def test_scalar_is_batch_row_bitwise(self, rng):
+        thetas = single_formula_thetas(rng)
+        batch = batch_axis_angle_to_matrix(thetas)
+        for i, t in enumerate(thetas):
+            assert np.array_equal(axis_angle_to_matrix(t), batch[i])
 
 
 class TestMatrixToAxisAngle:
@@ -225,3 +249,9 @@ class TestJacobian:
         batch = batch_axis_angle_jacobian(thetas)
         for i, t in enumerate(thetas):
             np.testing.assert_allclose(batch[i], axis_angle_jacobian(t), atol=1e-10)
+
+    def test_scalar_is_batch_row_bitwise(self, rng):
+        thetas = single_formula_thetas(rng)
+        batch = batch_axis_angle_jacobian(thetas)
+        for i, t in enumerate(thetas):
+            assert np.array_equal(axis_angle_jacobian(t), batch[i])
