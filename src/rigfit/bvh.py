@@ -6,6 +6,7 @@ only at this boundary. End Sites are kept as leaf metadata, not joints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .rotations import (
     matrix_to_axis_angle,
     matrix_to_euler,
 )
-from .skeleton import AnimationClip, Pose, Skeleton, validate_skeleton
+from .skeleton import AnimationClip, Skeleton, validate_skeleton
 
 _POSITION_CHANNELS = ("Xposition", "Yposition", "Zposition")
 _ROTATION_CHANNELS = {"Xrotation": "X", "Yrotation": "Y", "Zrotation": "Z"}
@@ -58,6 +59,13 @@ class BvhDocument:
         ).reshape(-1, 3)
 
 
+def _number(tok, line):
+    try:
+        return float(tok)
+    except ValueError:
+        raise BvhParseError(f"non-numeric literal {tok!r}", line)
+
+
 class _Tokens:
     def __init__(self, text):
         self.items = []  # (token, line)
@@ -91,11 +99,7 @@ class _Tokens:
         return tok
 
     def number(self):
-        tok = self.next()
-        try:
-            return float(tok)
-        except ValueError:
-            raise BvhParseError(f"non-numeric literal {tok!r}", self.items[self.pos - 1][1])
+        return _number(self.next(), self.items[self.pos - 1][1])
 
     def integer(self):
         tok = self.next()
@@ -103,9 +107,6 @@ class _Tokens:
             return int(tok)
         except ValueError:
             raise BvhParseError(f"expected integer, got {tok!r}", self.items[self.pos - 1][1])
-
-    def done(self):
-        return self.pos >= len(self.items)
 
 
 def _parse_joint(tokens, names, parents, offsets, channels, end_sites, parent):
@@ -127,8 +128,8 @@ def _parse_joint(tokens, names, parents, offsets, channels, end_sites, parent):
             raise BvhParseError(f"unknown channel name {c!r}", line)
     if len(rot) != 3 or len({_ROTATION_CHANNELS[c] for c in rot}) != 3:
         raise BvhParseError(f"joint {name!r} needs three distinct rotation channels", line)
-    if pos and len(pos) != 3:
-        raise BvhParseError(f"joint {name!r} has a partial position channel triple", line)
+    if pos and (len(pos) != 3 or len(set(pos)) != 3):
+        raise BvhParseError(f"joint {name!r} needs three distinct position channels or none", line)
     channels.append(chans)
     while True:
         tok = tokens.next()
@@ -167,87 +168,64 @@ def parse_bvh(text):
         raise BvhParseError(str(exc)) from exc
     # file order is parent-first already, so the remap is the identity
     tokens.expect("MOTION")
-    tok = tokens.next()
-    if tok == "Frames:":
-        frame_count = tokens.integer()
-    elif tok == "Frames":
+    if tokens.expect("Frames:", "Frames") == "Frames":
         tokens.expect(":")
-        frame_count = tokens.integer()
-    else:
-        raise BvhParseError(f"expected 'Frames:', got {tok!r}", tokens.items[tokens.pos - 1][1])
-    tok = tokens.next()
-    if tok == "Frame":
-        tok2 = tokens.next()
-        if tok2 == "Time:":
-            frame_time = tokens.number()
-        elif tok2 == "Time":
-            tokens.expect(":")
-            frame_time = tokens.number()
-        else:
-            raise BvhParseError("expected 'Frame Time:'", tokens.items[tokens.pos - 1][1])
-    else:
-        raise BvhParseError("missing 'Frame Time:' declaration", tokens.items[tokens.pos - 1][1])
+    frame_count = tokens.integer()
+    tokens.expect("Frame")
+    if tokens.expect("Time:", "Time") == "Time":
+        tokens.expect(":")
+    frame_time = tokens.number()
     if frame_count < 1:
         raise BvhParseError("BVH must declare at least one frame")
     if not (frame_time > 0.0):
         raise BvhParseError("frame time must be positive")
 
-    n = skeleton.joint_count
-    per_joint = [len(c) for c in channels]
-    row_width = sum(per_joint)
-    frames = []
+    motion = _motion_rows(tokens, frame_count, sum(len(c) for c in channels))
+    del tokens  # the token list outweighs the motion array; free it first
+    rotations = np.empty((frame_count, skeleton.joint_count, 3))
+    root_translation = np.zeros((frame_count, 3))
     extra = {}
-    for _ in range(frame_count):
-        start_line = tokens.line
-        row = np.empty(row_width)
-        row_line = tokens.items[tokens.pos][1] if tokens.pos < len(tokens.items) else start_line
-        for k in range(row_width):
-            if tokens.done() or (k > 0 and tokens.line != row_line):
-                raise BvhParseError(
-                    f"motion row has {k} values, expected {row_width}", row_line
-                )
-            row[k] = tokens.number()
-        if tokens.pos < len(tokens.items) and tokens.items[tokens.pos][1] == row_line:
-            raise BvhParseError(f"motion row has extra values beyond {row_width}", row_line)
-        rotations = np.zeros((n, 3))
-        root_translation = np.zeros(3)
-        offset = 0
-        for j in range(n):
-            chans = channels[j]
-            order = _rotation_order(chans)
-            angles = np.zeros(3)
-            translation = np.zeros(3)
-            has_pos = False
-            ri = 0
-            for c in chans:
-                v = row[offset]
-                offset += 1
-                if c in _ROTATION_CHANNELS:
-                    angles[ri] = np.deg2rad(v)
-                    ri += 1
-                else:
-                    has_pos = True
-                    translation["XYZ".index(c[0])] = v
-            rotations[j] = matrix_to_axis_angle(euler_to_matrix(angles, order))
-            if has_pos:
-                if j == 0:
-                    root_translation = translation
-                else:
-                    extra.setdefault(j, []).append(translation)
-        frames.append(Pose(rotations=rotations, root_translation=root_translation))
-    if not tokens.done():
-        raise BvhParseError(
-            f"motion data has more rows than the declared {frame_count}", tokens.line
-        )
-    clip = AnimationClip(frames=tuple(frames), fps=1.0 / frame_time)
+    start = 0
+    for j, chans in enumerate(channels):
+        block = motion[:, start : start + len(chans)]
+        start += len(chans)
+        rot_cols = [k for k, c in enumerate(chans) if c in _ROTATION_CHANNELS]
+        angles = np.deg2rad(block[:, rot_cols])
+        rotations[:, j] = matrix_to_axis_angle(euler_to_matrix(angles, _rotation_order(chans)))
+        if _POSITION_CHANNELS[0] in chans:  # then all three, as _parse_joint checked
+            translation = block[:, [chans.index(c) for c in _POSITION_CHANNELS]]
+            if j == 0:
+                root_translation = translation
+            else:
+                extra[j] = translation
+    clip = AnimationClip(rotations, root_translation, fps=1.0 / frame_time)
     return BvhDocument(
         skeleton=skeleton,
         channel_layout=tuple(tuple(c) for c in channels),
         end_sites=end_sites,
         clip=clip,
         frame_time=frame_time,
-        extra_translations={j: np.array(v) for j, v in extra.items()},
+        extra_translations=extra,
     )
+
+
+def _motion_rows(tokens, frame_count, row_width):
+    """The remaining tokens as a (frame_count, row_width) array, one row per line."""
+    motion = np.empty((frame_count, row_width))
+    t = 0
+    for line, group in groupby(tokens.items[tokens.pos :], key=lambda item: item[1]):
+        row = [tok for tok, _ in group]
+        if t == frame_count:
+            raise BvhParseError(
+                f"motion data has more rows than the declared {frame_count}", line
+            )
+        if len(row) != row_width:
+            raise BvhParseError(f"motion row has {len(row)} values, expected {row_width}", line)
+        motion[t] = [_number(tok, line) for tok in row]
+        t += 1
+    if t < frame_count:
+        raise BvhParseError(f"motion data has {t} of {frame_count} rows", tokens.items[-1][1])
+    return motion
 
 
 def _fmt(v):
@@ -289,27 +267,19 @@ def write_bvh(document):
     lines.append("MOTION")
     lines.append(f"Frames: {clip.frame_count}")
     lines.append(f"Frame Time: {_fmt(document.frame_time)}")
-    for t, frame in enumerate(clip.frames):
-        matrices = batch_axis_angle_to_matrix(frame.rotations)
-        row = []
-        for j in range(skel.joint_count):
-            chans = document.channel_layout[j]
-            order = _rotation_order(chans)
-            angles = np.rad2deg(matrix_to_euler(matrices[j], order))
-            if j == 0:
-                translation = frame.root_translation
-            elif j in document.extra_translations:
-                translation = document.extra_translations[j][t]
-            else:
-                translation = np.zeros(3)
-            ri = 0
-            for c in chans:
-                if c in _ROTATION_CHANNELS:
-                    row.append(_fmt(angles[ri]))
-                    ri += 1
-                else:
-                    row.append(_fmt(translation["XYZ".index(c[0])]))
-        lines.append(" ".join(row))
+    translations = {**document.extra_translations, 0: clip.root_translation}
+    no_translation = np.zeros((clip.frame_count, 3))
+    columns = []  # one (T,) column per channel, in file order
+    for j, chans in enumerate(document.channel_layout):
+        matrices = batch_axis_angle_to_matrix(clip.rotations[:, j])
+        angles = iter(np.rad2deg(matrix_to_euler(matrices, _rotation_order(chans))).T)
+        translation = translations.get(j, no_translation)
+        for c in chans:
+            columns.append(
+                next(angles) if c in _ROTATION_CHANNELS else translation[:, "XYZ".index(c[0])]
+            )
+    for row in np.stack(columns, axis=1):
+        lines.append(" ".join(map(_fmt, row.tolist())))
     return "\n".join(lines) + "\n"
 
 

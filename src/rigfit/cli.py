@@ -14,12 +14,12 @@ import sys
 
 import numpy as np
 
-from .bvh import BvhDocument, parse_bvh, write_bvh
+from .bvh import parse_bvh, write_bvh
 from .errors import ValidationError
 from .fit import FitConfig, fit_sequence
 from .metrics import cd_skeleton_sequence, mpjpe, mpjve
 from .normalize import remove_global_translation, sequence_normalize
-from .skeleton import AnimationClip, JointTrajectory, Pose, fk_sequence
+from .skeleton import AnimationClip, JointTrajectory, fk_sequence
 from .trajectory import load_trajectory, save_trajectory
 
 log = logging.getLogger("rigfit")
@@ -70,6 +70,25 @@ def _normalize_side(traj):
     return traj
 
 
+def _write_clip(doc, clip, path):
+    """Write clip as BVH on doc's rig and channel layout, at the clip's frame rate."""
+    out = dataclasses.replace(doc, clip=clip, frame_time=1.0 / clip.fps, extra_translations={})
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(write_bvh(out))
+
+
+def _valid_bones(traj, parents):
+    """A side's valid joints as (positions, parents), keeping a bone only where
+    both of its ends are valid; None when no bone is left."""
+    mask = traj.mask
+    parents = np.asarray(parents)[mask]
+    kept = (parents >= 0) & mask[np.maximum(parents, 0)]
+    if not kept.any():
+        return None
+    parents = np.where(kept, (np.cumsum(mask) - 1)[parents], -1)
+    return traj.positions[:, mask], parents
+
+
 def cmd_fit(args):
     doc = parse_bvh(_read_text(args.rig))
     traj, names = load_trajectory(args.traj)
@@ -77,8 +96,10 @@ def cmd_fit(args):
     if args.map:
         with open(args.map, "r", encoding="utf-8") as fh:
             name_map = json.load(fh)
-        if not isinstance(name_map, dict):
-            raise ValidationError("--map file must be a JSON object of rig->traj names")
+        if not isinstance(name_map, dict) or not all(
+            isinstance(v, str) for v in name_map.values()
+        ):
+            raise ValidationError("--map file must be a JSON object of rig->traj name strings")
     rig_names = doc.skeleton.joint_names
     traj_index = {n: i for i, n in enumerate(names)}
     columns = []
@@ -105,18 +126,9 @@ def cmd_fit(args):
         fit_root_translation=args.fit_root_translation,
     )
     clip, reports = fit_sequence(doc.skeleton, reordered, config)
-    out_doc = BvhDocument(
-        skeleton=doc.skeleton,
-        channel_layout=doc.channel_layout,
-        end_sites=doc.end_sites,
-        clip=clip,
-        frame_time=1.0 / clip.fps,
-    )
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(write_bvh(out_doc))
-    fk = fk_sequence(doc.skeleton, clip)
-    fk_masked = JointTrajectory(positions=fk.positions, mask=reordered.mask, fps=fk.fps)
-    mpjpe_fk = mpjpe(fk_masked, reordered)
+    _write_clip(doc, clip, args.out)
+    fk = dataclasses.replace(fk_sequence(doc.skeleton, clip), mask=reordered.mask)
+    mpjpe_fk = mpjpe(fk, reordered)
     log.info("fit wrote %s (FK MPJPE %.3g)", args.out, mpjpe_fk)
     if args.report:
         report = {
@@ -163,18 +175,20 @@ def cmd_eval(args):
             raise ValidationError(
                 "cds needs a kinematic hierarchy; at least one input must be BVH"
             )
-        if pred_parents is None:
-            if pred.joint_count != len(gt_parents):
-                raise ValidationError("cannot borrow parents: joint counts differ")
-            pred_parents = gt_parents
-        if gt_parents is None:
-            if gt.joint_count != len(pred_parents):
-                raise ValidationError("cannot borrow parents: joint counts differ")
-            gt_parents = pred_parents
-        values, report["cds"] = cd_skeleton_sequence(
-            pred.positions, pred_parents, gt.positions, gt_parents
-        )
-        report["cds_per_frame"] = values
+        pred_parents = gt_parents if pred_parents is None else pred_parents
+        gt_parents = pred_parents if gt_parents is None else gt_parents
+        if len(pred_parents) != pred.joint_count or len(gt_parents) != gt.joint_count:
+            raise ValidationError("cannot borrow parents: joint counts differ")
+        pred_part, gt_part = _valid_bones(pred, pred_parents), _valid_bones(gt, gt_parents)
+        if pred_part is not None and gt_part is not None:
+            values, report["cds"] = cd_skeleton_sequence(*pred_part, *gt_part)
+            report["cds_per_frame"] = values
+        elif args.metric == "cds":
+            raise ValidationError("cds needs a bone with both ends valid on each side")
+        else:
+            # "all" still reports the joint metrics of a sparsely valid pair
+            log.warning("cds skipped: a side has no bone with both ends valid")
+            report["cds"] = report["cds_per_frame"] = None
     json.dump(report, sys.stdout)
     sys.stdout.write("\n")
     return EXIT_OK
@@ -209,15 +223,10 @@ def _smooth_random_clip(skeleton, frames, rng, fps):
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
     t_amp = rng.uniform(0.0, 0.3, size=3)
     t_phase = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    poses = []
-    denom = max(frames, 2)
-    for t in range(frames):
-        s = 2.0 * np.pi * t / denom
-        angles = amps * np.sin(freqs * s + phases)
-        rot = angles[:, None] * axes
-        root = t_amp * np.sin(s + t_phase)
-        poses.append(Pose(rotations=rot, root_translation=root))
-    return AnimationClip(frames=tuple(poses), fps=fps)
+    s = (2.0 * np.pi * np.arange(frames) / max(frames, 2))[:, None]
+    angles = amps * np.sin(freqs * s + phases)
+    root = t_amp * np.sin(s + t_phase)
+    return AnimationClip(angles[:, :, None] * axes, root, fps=fps)
 
 
 def cmd_synth(args):
@@ -226,17 +235,9 @@ def cmd_synth(args):
         raise ValidationError("--frames must be >= 1")
     rng = np.random.default_rng(args.seed)
     clip = _smooth_random_clip(doc.skeleton, args.frames, rng, fps=1.0 / doc.frame_time)
-    out_doc = BvhDocument(
-        skeleton=doc.skeleton,
-        channel_layout=doc.channel_layout,
-        end_sites=doc.end_sites,
-        clip=clip,
-        frame_time=doc.frame_time,
-    )
     bvh_path = args.out + ".bvh"
     json_path = args.out + ".json"
-    with open(bvh_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(write_bvh(out_doc))
+    _write_clip(doc, clip, bvh_path)
     traj = fk_sequence(doc.skeleton, clip)
     save_trajectory(json_path, traj, doc.skeleton.joint_names)
     log.info("synth wrote %s and %s", bvh_path, json_path)

@@ -4,7 +4,7 @@ twist terms, warm-started across frames.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -93,7 +93,7 @@ def geometric_init_frame(skeleton, target, mask=None):
 
     children = skeleton.children()
     zero_bone = skeleton.zero_offset
-    theta = np.zeros((n, 3))
+    local = np.empty((n, 3, 3))
     G = np.empty((n, 3, 3))
     diagnostics = []
     for i in range(n):
@@ -129,10 +129,10 @@ def geometric_init_frame(skeleton, target, mask=None):
                 diagnostics.append(
                     f"joint {skeleton.joint_names[i]}: zero Procrustes covariance"
                 )
-        theta[i] = matrix_to_axis_angle(R, validate=False)
+        local[i] = R
         G[i] = Gp @ R
     root_t = target[0] if mask[0] else np.zeros(3)
-    return Pose(rotations=theta, root_translation=root_t), diagnostics
+    return Pose(matrix_to_axis_angle(local), root_translation=root_t), diagnostics
 
 
 def fit_loss(skeleton, theta, target, theta_geo, mask, config,
@@ -355,8 +355,10 @@ def fit_sequence(skeleton, trajectory, config=None):
 
     Frame 0 starts from its own geometric estimate; frame t > 0 starts from
     the previous solution with the prior anchored at frame t's own estimate.
-    Root translation is read from the trajectory's root joint (and further
-    optimized only when config.fit_root_translation is set).
+    Root translation is read from the trajectory's root joint and further
+    optimized when config.fit_root_translation is set. A masked root gives
+    no position to read, so its translation is then always optimized, and
+    each frame's diagnostics say so.
 
     Returns (AnimationClip, per-frame diagnostics dicts).
     """
@@ -364,21 +366,22 @@ def fit_sequence(skeleton, trajectory, config=None):
         config = FitConfig()
     if trajectory.joint_count != skeleton.joint_count:
         raise ValidationError("trajectory joint count does not match skeleton")
-    poses = []
-    reports = []
-    prev = None
+    root_diag = []
+    if not trajectory.mask[0] and not config.fit_root_translation:
+        config = replace(config, fit_root_translation=True)
+        root_diag = ["root joint masked out: root translation fitted"]
+    rotations, roots, reports = [], [], []
     for t in range(trajectory.frame_count):
         target = trajectory.positions[t]
         geo_pose, geo_diag = geometric_init_frame(skeleton, target, trajectory.mask)
-        if prev is None:
-            start = geo_pose
-        else:
-            start = Pose(rotations=prev, root_translation=geo_pose.root_translation)
+        start = geo_pose
+        if rotations:  # warm start from the previous frame's solution
+            start = Pose(rotations=rotations[-1], root_translation=geo_pose.root_translation)
         result = refine_frame(
             skeleton, target, start, geo_pose, trajectory.mask, config
         )
-        prev = result.pose.rotations
-        poses.append(result.pose)
+        rotations.append(result.pose.rotations)
+        roots.append(result.pose.root_translation)
         reports.append(
             {
                 "loss_total": result.loss_terms.total,
@@ -387,7 +390,7 @@ def fit_sequence(skeleton, trajectory, config=None):
                 "loss_twist": result.loss_terms.twist,
                 "iters": result.iterations_used,
                 "accepted_losses": list(result.accepted_losses),
-                "diagnostics": list(geo_diag) + list(result.diagnostics),
+                "diagnostics": root_diag + list(geo_diag) + list(result.diagnostics),
             }
         )
-    return AnimationClip(frames=tuple(poses), fps=trajectory.fps), reports
+    return AnimationClip(np.stack(rotations), np.stack(roots), fps=trajectory.fps), reports

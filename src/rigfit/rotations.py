@@ -41,70 +41,69 @@ def axis_angle_to_matrix(theta):
     return batch_axis_angle_to_matrix(theta[None])[0]
 
 
+def _norm(v):
+    """Euclidean norm of each row of a (..., 3) stack, bit-equal to np.linalg.norm."""
+    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def is_rotation_matrix(R, atol=1e-6):
+    """Per-matrix test of a (..., 3, 3) stack: finite, orthonormal within atol, det > 0."""
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3) or not np.all(np.isfinite(R)):
+    if R.shape[-2:] != (3, 3):
         return False
-    if not np.allclose(R.T @ R, np.eye(3), atol=atol):
-        return False
-    return np.linalg.det(R) > 0.0
+    finite = np.isfinite(R).all(axis=(-2, -1))
+    R = np.where(finite[..., None, None], R, np.eye(3))
+    orthonormal = np.isclose(np.swapaxes(R, -1, -2) @ R, np.eye(3), atol=atol).all(axis=(-2, -1))
+    return finite & orthonormal & (np.linalg.det(R) > 0.0)
 
 
-def matrix_to_axis_angle(R, validate=True):
-    """Canonical axis-angle of a rotation matrix, with ||theta|| in [0, pi].
+def matrix_to_axis_angle(R):
+    """Canonical axis-angle of each matrix of a (..., 3, 3) stack, ||theta|| in [0, pi].
 
     Near-pi extraction uses the dominant column of (R + I)/2; the axis sign
-    tie-break makes the first nonzero component positive. validate=False
-    skips the orthonormality check for inputs already known to be rotations.
+    tie-break makes the first nonzero component positive.
     """
     R = np.asarray(R, dtype=float)
-    if validate and not is_rotation_matrix(R):
+    if not np.all(is_rotation_matrix(R)):
         raise ValidationError("input is not a rotation matrix")
-    cos_a = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
+    cos_a = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
     angle = np.arccos(cos_a)
-    vee = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if angle < _TINY_ANGLE:
-        return vee  # first-order: vee(R - R^T)/2 ~ theta
-    if np.pi - angle < 1e-6:
+    vee = 0.5 * (R - np.swapaxes(R, -1, -2))[..., [2, 0, 1], [1, 2, 0]]
+    theta = vee.copy()  # first-order below _TINY_ANGLE: vee(R - R^T)/2 ~ theta
+    near_pi = np.pi - angle < 1e-6
+    generic = ~near_pi & (angle >= _TINY_ANGLE)
+    axis = vee[generic] / np.sin(angle[generic])[:, None]
+    theta[generic] = angle[generic][:, None] * axis / _norm(axis)[:, None]
+    if np.any(near_pi):
         # R ~ 2*a a^T - I, so (R + I)/2 ~ a a^T; its strongest column is ~ a_k * a
-        B = (R + np.eye(3)) / 2.0
-        k = int(np.argmax(np.diag(B)))
-        axis = B[:, k]
-        n = np.linalg.norm(axis)
-        if n < _TINY_VECTOR:
+        B = (R[near_pi] + np.eye(3)) / 2.0
+        k = np.argmax(np.diagonal(B, axis1=-2, axis2=-1), axis=-1)
+        axis = np.take_along_axis(B, k[:, None, None], axis=-1)[..., 0]
+        n = _norm(axis)
+        if np.any(n < _TINY_VECTOR):
             raise ValidationError("degenerate near-pi rotation matrix")
-        axis = axis / n
-        for comp in axis:
-            if abs(comp) > 1e-12:
-                if comp < 0.0:
-                    axis = -axis
-                break
+        axis = axis / n[:, None]
+        first = np.argmax(np.abs(axis) > 1e-12, axis=-1)  # a unit axis has one
+        axis[np.take_along_axis(axis, first[:, None], axis=-1)[:, 0] < 0.0] *= -1.0
         # keep the sign consistent with the skew part when it is informative
-        s = float(vee @ axis)
-        if abs(s) > 1e-9 and s < 0.0:
-            axis = -axis
-        return angle * axis
-    axis = vee / np.sin(angle)
-    n = np.linalg.norm(axis)
-    return angle * axis / n
+        s = (vee[near_pi][:, None, :] @ axis[:, :, None])[:, 0, 0]
+        axis[s < -1e-9] *= -1.0
+        theta[near_pi] = angle[near_pi][:, None] * axis
+    return theta
 
 
 def canonicalize_axis_angle(theta):
-    """Wrap the angle into [0, pi] by axis flip; collapse tiny angles to zero."""
+    """Wrap each angle of a (..., 3) stack into [0, pi] by axis flip; tiny angles -> 0."""
     theta = np.asarray(theta, dtype=float)
-    a = float(np.linalg.norm(theta))
-    if a < 1e-12:
-        return np.zeros(3)
-    axis = theta / a
-    a = np.fmod(a, 2.0 * np.pi)
-    if a < 0.0:
-        a += 2.0 * np.pi
-    if a > np.pi:
-        a = 2.0 * np.pi - a
-        axis = -axis
-    if a < 1e-12:
-        return np.zeros(3)
-    return a * axis
+    a = _norm(theta)
+    axis = theta / np.where(a < 1e-12, 1.0, a)[..., None]
+    np.fmod(a, 2.0 * np.pi, out=a)
+    flip = a > np.pi
+    a[flip] = 2.0 * np.pi - a[flip]
+    axis[flip] *= -1.0
+    axis *= a[..., None]
+    axis[a < 1e-12] = 0.0
+    return axis
 
 
 def _perpendicular(a):
@@ -173,20 +172,23 @@ def orthogonal_procrustes(rest_dirs, obs_dirs, weights=None):
 
 
 def _elementary(axis, angle):
+    """Rotations by a stack of angles about one coordinate axis; (..., 3, 3)."""
+    k = "XYZ".index(axis)
+    i, j = (k + 1) % 3, (k + 2) % 3
     c, s = np.cos(angle), np.sin(angle)
-    if axis == "X":
-        return np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=float)
-    if axis == "Y":
-        return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]], dtype=float)
-    if axis == "Z":
-        return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=float)
-    raise ValidationError(f"unknown rotation axis {axis!r}")
+    E = np.zeros(np.shape(angle) + (3, 3))
+    E[..., k, k] = 1.0
+    E[..., i, i] = c
+    E[..., j, j] = c
+    E[..., i, j] = -s
+    E[..., j, i] = s
+    return E
 
 
 def euler_to_matrix(angles, order):
-    """Intrinsic Euler angles (radians, in channel order) to a matrix.
+    """Intrinsic Euler angles (radians, in channel order) of a (..., 3) stack to matrices.
 
-    order is one of the six 3-letter axis strings; the matrix is the product
+    order is one of the six 3-letter axis strings; each matrix is the product
     of the elementary rotations in the order written (BVH channel semantics).
     """
     order = order.upper()
@@ -194,42 +196,50 @@ def euler_to_matrix(angles, order):
         raise ValidationError(f"unsupported Euler order {order!r}")
     angles = np.asarray(angles, dtype=float)
     R = np.eye(3)
-    for axis, ang in zip(order, angles):
-        R = R @ _elementary(axis, float(ang))
+    for k, axis in enumerate(order):
+        R = R @ _elementary(axis, angles[..., k])
     return R
 
 
 def matrix_to_euler(R, order):
-    """Inverse of euler_to_matrix; at gimbal lock scipy's tie-break applies."""
+    """Inverse of euler_to_matrix for a (..., 3, 3) stack; at gimbal lock
+    scipy's tie-break applies."""
     order = order.upper()
     if order not in EULER_ORDERS:
         raise ValidationError(f"unsupported Euler order {order!r}")
-    if not is_rotation_matrix(R):
+    R = np.asarray(R, dtype=float)
+    if not np.all(is_rotation_matrix(R)):
         raise ValidationError("input is not a rotation matrix")
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # gimbal-lock warning; tie-break documented
-        return _ScipyRotation.from_matrix(np.asarray(R, dtype=float)).as_euler(order)
+        angles = _ScipyRotation.from_matrix(R.reshape(-1, 3, 3)).as_euler(order)
+    return angles.reshape(R.shape[:-1])
 
 
 def batch_axis_angle_to_matrix(thetas):
-    """Rodrigues formula for an (N, 3) stack, series-safe near zero angle."""
+    """Rodrigues formula for a (..., 3) stack, series-safe near zero angle."""
     thetas = np.asarray(thetas, dtype=float)
-    n = thetas.shape[0]
-    a2 = np.einsum("ic,ic->i", thetas, thetas)
+    a2 = np.einsum("...c,...c->...", thetas, thetas)
     a = np.sqrt(a2)
     K = skew(thetas)
     small = a < _TINY_ANGLE
-    s = np.empty(n)
-    c = np.empty(n)
+    s = np.empty(a.shape)
+    c = np.empty(a.shape)
     # sin(a)/a -> 1 - a^2/6, (1-cos a)/a^2 -> 1/2 - a^2/24
     s[small] = 1.0 - a2[small] / 6.0
     c[small] = 0.5 - a2[small] / 24.0
     if np.any(~small):
         s[~small] = np.sin(a[~small]) / a[~small]
         c[~small] = (1.0 - np.cos(a[~small])) / a2[~small]
-    return np.eye(3) + s[:, None, None] * K + c[:, None, None] * (K @ K)
+    # I + s K + c K^2, summed in that order, in place to spare whole-clip temporaries
+    R = K @ K
+    R *= c[..., None, None]
+    K *= s[..., None, None]
+    K += np.eye(3)
+    K += R
+    return K
 
 
 def batch_axis_angle_jacobian(thetas):

@@ -57,6 +57,21 @@ class Skeleton:
         return out
 
 
+def _frozen_motion(rotations, root_translation, frame_axes, owner):
+    """Validated, canonicalized, read-only rotations (*F, N, 3) and root
+    translations (*F, 3), where F holds frame_axes leading frame axes."""
+    rot = np.asarray(rotations, dtype=float)
+    trans = np.array(root_translation, dtype=float)
+    if rot.ndim != frame_axes + 2 or rot.shape[-1] != 3 or trans.shape != rot.shape[:-2] + (3,):
+        raise ValidationError(f"{owner} needs (..., N, 3) rotations and (..., 3) root translations")
+    if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(trans))):
+        raise ValidationError(f"{owner} rotations and root translations must be finite")
+    rot = canonicalize_axis_angle(rot)
+    rot.flags.writeable = False
+    trans.flags.writeable = False
+    return rot, trans
+
+
 @dataclass(frozen=True)
 class Pose:
     """Per-joint local rotations (axis-angle, canonicalized) plus root position."""
@@ -65,48 +80,53 @@ class Pose:
     root_translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        rot = np.asarray(self.rotations, dtype=float)
-        if rot.ndim != 2 or rot.shape[1] != 3 or not np.all(np.isfinite(rot)):
-            raise ValidationError("Pose.rotations must be a finite Nx3 array")
-        rot = np.stack([canonicalize_axis_angle(r) for r in rot])
-        trans = np.array(self.root_translation, dtype=float)
-        if trans.shape != (3,) or not np.all(np.isfinite(trans)):
-            raise ValidationError("Pose.root_translation must be a finite 3-vector")
+        rot, trans = _frozen_motion(self.rotations, self.root_translation, 0, "Pose")
         object.__setattr__(self, "rotations", rot)
         object.__setattr__(self, "root_translation", trans)
-        rot.flags.writeable = False
-        trans.flags.writeable = False
 
     @property
     def joint_count(self):
         return self.rotations.shape[0]
 
 
+def _pose_view(rotations, root_translation):
+    """A Pose of rows that are already canonical, not canonicalized again."""
+    pose = object.__new__(Pose)
+    object.__setattr__(pose, "rotations", rotations)
+    object.__setattr__(pose, "root_translation", root_translation)
+    return pose
+
+
 @dataclass(frozen=True)
 class AnimationClip:
-    """A Pose sequence at a fixed frame rate."""
+    """T >= 1 frames of per-joint local rotations (T, N, 3; axis-angle,
+    canonicalized) and root translations (T, 3) at a fixed frame rate."""
 
-    frames: tuple
+    rotations: np.ndarray
+    root_translation: np.ndarray
     fps: float
 
     def __post_init__(self):
-        frames = tuple(self.frames)
-        if len(frames) < 1:
+        rot, trans = _frozen_motion(self.rotations, self.root_translation, 1, "AnimationClip")
+        if rot.shape[0] < 1:
             raise ValidationError("AnimationClip needs at least one frame")
-        n = frames[0].joint_count
-        if any(f.joint_count != n for f in frames):
-            raise ValidationError("AnimationClip frames disagree on joint count")
         if not (self.fps > 0.0):
             raise ValidationError("AnimationClip.fps must be positive")
-        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "rotations", rot)
+        object.__setattr__(self, "root_translation", trans)
+
+    @property
+    def frames(self):
+        """Per-frame read-only Pose views of the clip."""
+        return tuple(map(_pose_view, self.rotations, self.root_translation))
 
     @property
     def frame_count(self):
-        return len(self.frames)
+        return self.rotations.shape[0]
 
     @property
     def joint_count(self):
-        return self.frames[0].joint_count
+        return self.rotations.shape[1]
 
 
 @dataclass(frozen=True)
@@ -224,36 +244,32 @@ def forward_kinematics(skeleton, pose):
     P_root = root_translation; P_i = P_parent + G_parent @ offset_i with the
     global rotation G accumulating down the chain.
     """
-    if pose.joint_count != skeleton.joint_count:
-        raise ValidationError("pose joint count does not match skeleton")
-    positions, _ = fk_positions_and_frames(
-        skeleton, pose.rotations, pose.root_translation
-    )
-    return positions
+    return fk_positions_and_frames(skeleton, pose.rotations, pose.root_translation)[0]
 
 
 def fk_positions_and_frames(skeleton, rotations, root_translation):
-    """FK returning positions (N,3) and accumulated world rotations (N,3,3)."""
+    """FK over any leading frame axes: rotations (..., N, 3) and root
+    translations (..., 3) give positions (..., N, 3) and accumulated world
+    rotations (..., N, 3, 3)."""
+    rotations = np.asarray(rotations, dtype=float)
     n = skeleton.joint_count
-    P = np.empty((n, 3))
-    G = np.empty((n, 3, 3))
+    if rotations.shape[-2:] != (n, 3):
+        raise ValidationError("rotation count does not match skeleton")
+    P = np.empty(rotations.shape[:-2] + (n, 3))
     parents = skeleton.parents
     offsets = skeleton.offsets
-    R = batch_axis_angle_to_matrix(np.asarray(rotations, dtype=float))
-    P[0] = root_translation
-    G[0] = R[0]
+    G = batch_axis_angle_to_matrix(rotations)  # local rotations, made world in place
+    P[..., 0, :] = root_translation
     for i in range(1, n):
         p = parents[i]
-        P[i] = P[p] + G[p] @ offsets[i]
-        G[i] = G[p] @ R[i]
+        P[..., i, :] = P[..., p, :] + G[..., p, :, :] @ offsets[i]
+        G[..., i, :, :] = G[..., p, :, :] @ G[..., i, :, :]
     return P, G
 
 
 def fk_sequence(skeleton, clip):
-    """Per-frame forward kinematics of a clip as an all-valid trajectory."""
-    if clip.joint_count != skeleton.joint_count:
-        raise ValidationError("clip joint count does not match skeleton")
-    pos = np.stack([forward_kinematics(skeleton, f) for f in clip.frames])
+    """Forward kinematics of every frame of a clip as an all-valid trajectory."""
+    pos, _ = fk_positions_and_frames(skeleton, clip.rotations, clip.root_translation)
     return JointTrajectory(
         positions=pos, mask=np.ones(skeleton.joint_count, dtype=bool), fps=clip.fps
     )

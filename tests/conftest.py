@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rigfit import AnimationClip, Pose, Skeleton, validate_skeleton
+from rigfit import AnimationClip, Skeleton, validate_skeleton
 
 
 def random_skeleton(rng, joint_count, max_branch=4, offset_scale=0.3):
@@ -29,11 +29,9 @@ def smooth_clip(rng, joint_count, frames, fps=30.0, amp_range=(0.2, 0.7)):
     amps = rng.uniform(*amp_range, joint_count)
     freqs = rng.uniform(0.5, 2.0, joint_count)
     phases = rng.uniform(0.0, 2.0 * np.pi, joint_count)
-    poses = []
-    for t in range(frames):
-        angles = amps * np.sin(freqs * 2.0 * np.pi * t / max(frames, 2) + phases)
-        poses.append(Pose(rotations=angles[:, None] * axes))
-    return AnimationClip(frames=tuple(poses), fps=fps)
+    t = np.arange(frames)[:, None]
+    angles = amps * np.sin(freqs * 2.0 * np.pi * t / max(frames, 2) + phases)
+    return AnimationClip(angles[:, :, None] * axes, np.zeros((frames, 3)), fps=fps)
 
 
 def scaled_skeleton(skeleton, scale):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from rigfit import AnimationClip, BvhParseError, Pose, validate_skeleton
+from rigfit import AnimationClip, BvhParseError, validate_skeleton
 from rigfit.bvh import BvhDocument, document_from_clip, parse_bvh, write_bvh
 from rigfit.rotations import axis_angle_to_matrix, euler_to_matrix
 from rigfit.skeleton import fk_sequence
@@ -131,6 +131,14 @@ class TestParseErrors:
         with pytest.raises(BvhParseError):
             parse_bvh(self.base().replace("Zrotation", "Wrotation", 1))
 
+    def test_repeated_position_channel_names_joint(self):
+        # six channels still, so every motion row keeps its width
+        text = self.base().replace(
+            "Xposition Yposition Zposition", "Xposition Xposition Yposition", 1
+        )
+        with pytest.raises(BvhParseError, match="Hip"):
+            parse_bvh(text)
+
     def test_non_numeric_literal(self):
         with pytest.raises(BvhParseError):
             parse_bvh(self.base().replace("-0.450000", "abc"))
@@ -148,7 +156,7 @@ class TestParseErrors:
 class TestWrite:
     def test_rest_frame_document_valid(self):
         sk = validate_skeleton(["a", "b"], [-1, 0], [[0, 0, 0], [0, 1.0, 0]])
-        clip = AnimationClip(frames=(Pose(rotations=np.zeros((2, 3))),), fps=24.0)
+        clip = AnimationClip(np.zeros((1, 2, 3)), np.zeros((1, 3)), fps=24.0)
         doc = document_from_clip(sk, clip)
         text = write_bvh(doc)
         again = parse_bvh(text)
@@ -158,7 +166,7 @@ class TestWrite:
 
     def test_root_six_channels_children_three(self):
         sk = validate_skeleton(["a", "b"], [-1, 0], [[0, 0, 0], [0, 1.0, 0]])
-        clip = AnimationClip(frames=(Pose(rotations=np.zeros((2, 3))),), fps=24.0)
+        clip = AnimationClip(np.zeros((1, 2, 3)), np.zeros((1, 3)), fps=24.0)
         text = write_bvh(document_from_clip(sk, clip))
         lines = text.splitlines()
         chan_lines = [ln.strip() for ln in lines if ln.strip().startswith("CHANNELS")]
@@ -176,6 +184,6 @@ class TestWrite:
 
     def test_frame_skeleton_mismatch(self):
         sk = validate_skeleton(["a", "b"], [-1, 0], [[0, 0, 0], [0, 1.0, 0]])
-        clip = AnimationClip(frames=(Pose(rotations=np.zeros((3, 3))),), fps=24.0)
+        clip = AnimationClip(np.zeros((1, 3, 3)), np.zeros((1, 3)), fps=24.0)
         with pytest.raises(Exception):
             document_from_clip(sk, clip)

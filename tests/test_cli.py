@@ -16,6 +16,8 @@ from rigfit.trajectory import load_trajectory, save_trajectory
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 RIG = os.path.join(FIXTURE_DIR, "chain_zxy.bvh")
 MINIMAL = os.path.join(FIXTURE_DIR, "minimal.bvh")
+STAR = os.path.join(FIXTURE_DIR, "star.bvh")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def run(*argv):
@@ -55,6 +57,17 @@ class TestSynth:
         assert open(a_bvh, "rb").read() == open(b_bvh, "rb").read()
         assert open(a_js, "rb").read() == open(b_js, "rb").read()
 
+    def test_output_matches_golden_files(self, tmp_path):
+        # star.bvh, 40 frames, seed 7; the golden pair holds the exact bytes
+        prefix = str(tmp_path / "star")
+        assert run("synth", "--rig", STAR, "--frames", "40", "--seed", "7",
+                   "--out", prefix) == 0
+        for ext in (".bvh", ".json"):
+            with open(prefix + ext, "rb") as got, open(
+                os.path.join(GOLDEN_DIR, "star_synth_40_seed7" + ext), "rb"
+            ) as want:
+                assert got.read() == want.read()
+
     def test_different_seed_differs(self, tmp_path):
         a_bvh, _ = synth_pair(tmp_path / "a", seed=1)
         b_bvh, _ = synth_pair(tmp_path / "b", seed=2)
@@ -86,6 +99,14 @@ class TestFit:
         traj = JointTrajectory(positions=rng.normal(size=(2, 3, 3)), mask=None, fps=30.0)
         save_trajectory(traj_path, traj, ["Hips", "Spine", "Wrong"])
         assert run("fit", "--rig", RIG, "--traj", str(traj_path),
+                   "--out", str(tmp_path / "o.bvh")) == 2
+
+    @pytest.mark.parametrize("name_map", [{"Hips": ["x"]}, ["Hips"], {"Hips": 3}])
+    def test_bad_map_exit_2(self, tmp_path, name_map):
+        _, js = synth_pair(tmp_path, frames=2)
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps(name_map))
+        assert run("fit", "--rig", RIG, "--traj", js, "--map", str(map_path),
                    "--out", str(tmp_path / "o.bvh")) == 2
 
     def test_missing_file_exit_3(self, tmp_path):
@@ -141,6 +162,35 @@ class TestEval:
         report = json.loads(capsys.readouterr().out)
         assert report["mpjpe"] == pytest.approx(0.0, abs=1e-5)
         assert report["mpjve"] == pytest.approx(0.0, abs=1e-3)
+
+    def mask_and_move(self, tmp_path, js, joint):
+        traj, names = load_trajectory(js)
+        moved = traj.positions.copy()
+        moved[:, joint] += 5.0
+        mask = np.ones(traj.joint_count, dtype=bool)
+        mask[joint] = False
+        obs = str(tmp_path / "obs.json")
+        save_trajectory(obs, JointTrajectory(positions=moved, mask=mask, fps=traj.fps), names)
+        return obs
+
+    def test_cds_skips_masked_joints_and_their_bones(self, tmp_path, capsys):
+        # star: root with two legs; joint 2 masked leaves the root-LegL bone
+        bvh, js = synth_pair(tmp_path, rig=STAR)
+        obs = self.mask_and_move(tmp_path, js, 2)
+        assert run("eval", "--pred", bvh, "--gt", obs, "--metric", "cds") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["cds"] == pytest.approx(0.0, abs=1e-5)
+
+    def test_cds_with_no_valid_bone(self, tmp_path, capsys):
+        # a 3-joint chain with its middle joint masked has no bone left
+        bvh, js = synth_pair(tmp_path)
+        obs = self.mask_and_move(tmp_path, js, 1)
+        assert run("eval", "--pred", bvh, "--gt", obs, "--metric", "cds") == 2
+        capsys.readouterr()
+        assert run("eval", "--pred", bvh, "--gt", obs, "--metric", "all") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["cds"] is None
+        assert report["mpjpe"] == pytest.approx(0.0, abs=1e-5)
 
     def test_no_shared_valid_joint_exit_2(self, tmp_path, caplog):
         _, js = synth_pair(tmp_path)

@@ -347,6 +347,26 @@ class TestFitSequence:
         out = fk_sequence(sk, fitted)
         assert mpjpe(out, traj) < 1e-3
 
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_masked_root_fits_root_translation(self, rng, n):
+        # nothing observes the root, so its position must come from the fit
+        from rigfit import JointTrajectory
+
+        sk = random_skeleton(rng, n)
+        clip = smooth_clip(rng, n, 6)
+        roots = rng.normal(size=(6, 3))
+        mask = np.ones(n, dtype=bool)
+        mask[0] = False
+        traj = JointTrajectory(
+            positions=fk_sequence(sk, clip).positions + roots[:, None, :], mask=mask, fps=30.0
+        )
+        fitted, reports = fit_sequence(sk, traj)
+        out = fk_sequence(sk, fitted)
+        out = JointTrajectory(positions=out.positions, mask=mask, fps=out.fps)
+        assert mpjpe(out, traj) < 1e-3
+        for rep in reports:
+            assert any("root translation fitted" in d for d in rep["diagnostics"])
+
 
 class TestTwistSuppression:
     def test_chain_twist_reduced(self, rng):

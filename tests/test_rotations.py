@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigfit.errors import ValidationError
 from rigfit.rotations import (
@@ -255,3 +257,65 @@ class TestJacobian:
         batch = batch_axis_angle_jacobian(thetas)
         for i, t in enumerate(thetas):
             assert np.array_equal(axis_angle_jacobian(t), batch[i])
+
+
+_ANGLES = st.one_of(
+    st.floats(0.0, 1e-7),  # series branch, collapse to zero
+    st.floats(np.pi - 1e-6, np.pi),  # near-pi branch
+    st.just(np.pi),
+    st.floats(0.0, 4.0 * np.pi),  # generic, and wrapped by canonicalization
+)
+_AXES = st.one_of(
+    st.sampled_from([(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (1.0, -1.0, 0.0)]),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3),
+)
+
+
+@st.composite
+def theta_stacks(draw):
+    pairs = draw(st.lists(st.tuples(_AXES, _ANGLES), min_size=1, max_size=12))
+    return np.array([a * np.asarray(v) / np.linalg.norm(v) for v, a in pairs])
+
+
+class TestStackedConversions:
+    """Each conversion of a whole stack equals the conversion of each row, bitwise."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(theta_stacks(), st.sampled_from(EULER_ORDERS))
+    def test_stack_equals_rows(self, thetas, order):
+        R = batch_axis_angle_to_matrix(thetas)
+        angles = thetas[:, [2, 0, 1]] - 1.0  # any real angles for euler_to_matrix
+        nonrot = R.copy()
+        nonrot[::2, 0, 0] += 0.1
+        cases = [
+            (canonicalize_axis_angle, thetas),
+            (matrix_to_axis_angle, R),
+            (lambda x: euler_to_matrix(x, order), angles),
+            (lambda x: matrix_to_euler(x, order), R),
+            (is_rotation_matrix, R),
+            (is_rotation_matrix, nonrot),
+        ]
+        for convert, stack in cases:
+            whole = convert(stack)
+            rows = np.stack([convert(row) for row in stack])
+            assert whole.shape == rows.shape
+            assert np.array_equal(whole, rows)
+
+    def test_leading_axes_kept(self, rng):
+        thetas = rng.normal(size=(4, 5, 3))
+        R = batch_axis_angle_to_matrix(thetas)
+        assert matrix_to_axis_angle(R).shape == (4, 5, 3)
+        assert matrix_to_euler(R, "ZXY").shape == (4, 5, 3)
+        assert euler_to_matrix(thetas, "ZXY").shape == (4, 5, 3, 3)
+        assert is_rotation_matrix(R).shape == (4, 5)
+        np.testing.assert_array_equal(
+            matrix_to_axis_angle(R).reshape(-1, 3), matrix_to_axis_angle(R.reshape(-1, 3, 3))
+        )
+
+    def test_one_bad_matrix_rejects_the_stack(self):
+        R = np.stack([np.eye(3), np.diag([1.0, 1.0, 2.0])])
+        assert list(is_rotation_matrix(R)) == [True, False]
+        with pytest.raises(ValidationError):
+            matrix_to_axis_angle(R)
+        with pytest.raises(ValidationError):
+            matrix_to_euler(R, "XYZ")

@@ -106,7 +106,7 @@ class TestFkSequence:
 
     def test_constant_identity_clip(self):
         sk = simple_chain(3)
-        clip = AnimationClip(frames=tuple(identity_pose(sk) for _ in range(5)), fps=24.0)
+        clip = AnimationClip(np.zeros((5, 3, 3)), np.zeros((5, 3)), fps=24.0)
         traj = fk_sequence(sk, clip)
         rest = rest_pose_positions(sk)
         for t in range(5):
@@ -163,7 +163,30 @@ class TestTypes:
 
     def test_clip_needs_frames(self):
         with pytest.raises(ValidationError):
-            AnimationClip(frames=(), fps=30.0)
+            AnimationClip(np.zeros((0, 2, 3)), np.zeros((0, 3)), fps=30.0)
+
+    def test_clip_rejects_nonfinite_rotations(self):
+        rot = np.zeros((4, 2, 3))
+        rot[2, 1, 0] = np.inf
+        with pytest.raises(ValidationError):
+            AnimationClip(rot, np.zeros((4, 3)), fps=30.0)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (4, 2), (4, 3, 1)])
+    def test_clip_rejects_root_of_wrong_shape(self, shape):
+        with pytest.raises(ValidationError):
+            AnimationClip(np.zeros((4, 2, 3)), np.zeros(shape), fps=30.0)
+
+    def test_clip_canonicalizes_and_frames_view_it(self, rng):
+        rot = rng.normal(size=(50, 4, 3))
+        rot[1, 0] = [0.0, 0.0, 1.5 * np.pi]
+        clip = AnimationClip(rot, rng.normal(size=(50, 3)), fps=30.0)
+        np.testing.assert_allclose(clip.rotations[1, 0], [0.0, 0.0, -0.5 * np.pi])
+        # canonicalizing twice moves some rows by an ulp, so views must not
+        for t, pose in enumerate(clip.frames):
+            assert np.array_equal(pose.rotations, clip.rotations[t])
+            assert np.array_equal(pose.root_translation, clip.root_translation[t])
+        with pytest.raises(ValueError):
+            clip.rotations[0, 0, 0] = 1.0
 
     def test_immutability(self, rng):
         sk = random_skeleton(rng, 4)
