@@ -171,23 +171,25 @@ def cmd_eval(args):
     if "mpjve" in wanted:
         report["mpjve"] = mpjve(pred, gt)
     if "cds" in wanted:
-        if pred_parents is None and gt_parents is None:
-            raise ValidationError(
-                "cds needs a kinematic hierarchy; at least one input must be BVH"
-            )
         pred_parents = gt_parents if pred_parents is None else pred_parents
         gt_parents = pred_parents if gt_parents is None else gt_parents
-        if len(pred_parents) != pred.joint_count or len(gt_parents) != gt.joint_count:
-            raise ValidationError("cannot borrow parents: joint counts differ")
-        pred_part, gt_part = _valid_bones(pred, pred_parents), _valid_bones(gt, gt_parents)
-        if pred_part is not None and gt_part is not None:
+        if pred_parents is None:
+            missing = "cds needs a kinematic hierarchy; at least one input must be BVH"
+        else:
+            if len(pred_parents) != pred.joint_count or len(gt_parents) != gt.joint_count:
+                raise ValidationError("cannot borrow parents: joint counts differ")
+            pred_part, gt_part = _valid_bones(pred, pred_parents), _valid_bones(gt, gt_parents)
+            missing = None
+            if pred_part is None or gt_part is None:
+                missing = "cds needs a bone with both ends valid on each side"
+        if missing is None:
             values, report["cds"] = cd_skeleton_sequence(*pred_part, *gt_part)
             report["cds_per_frame"] = values
         elif args.metric == "cds":
-            raise ValidationError("cds needs a bone with both ends valid on each side")
+            raise ValidationError(missing)
         else:
-            # "all" still reports the joint metrics of a sparsely valid pair
-            log.warning("cds skipped: a side has no bone with both ends valid")
+            # "all" still reports the joint metrics of a pair cds cannot score
+            log.warning("cds skipped: %s", missing)
             report["cds"] = report["cds_per_frame"] = None
     json.dump(report, sys.stdout)
     sys.stdout.write("\n")

@@ -16,7 +16,7 @@ from .rotations import (
     orthogonal_procrustes,
     rotation_between_vectors,
 )
-from .skeleton import AnimationClip, Pose, fk_positions_and_frames
+from .skeleton import Pose, clip_from_poses, fk_positions_and_frames
 
 _DIR_EPS = 1e-9
 _STEP_UNDERFLOW = 1e-16
@@ -136,21 +136,24 @@ def geometric_init_frame(skeleton, target, mask=None):
 
 
 def fit_loss(skeleton, theta, target, theta_geo, mask, config,
-             root_translation=None, bone_axes=None):
+             root_translation=None, bone_axes=None, positions=None):
     """Total refinement loss and its three terms.
 
     pos: mean squared FK-to-target distance over mask-valid joints;
     prior: mean squared axis-angle distance to the geometric init (all joints);
     twist: mean squared rotation component parallel to each joint's own bone.
+    positions, when given, are the FK positions of theta and root_translation,
+    and FK is not run again.
     """
     n = skeleton.joint_count
     theta = np.asarray(theta, dtype=float).reshape(n, 3)
     theta_geo = np.asarray(theta_geo, dtype=float).reshape(n, 3)
     mask = np.asarray(mask, dtype=bool)
-    if root_translation is None:
-        root_translation = np.zeros(3)
-    P, _ = fk_positions_and_frames(skeleton, theta, root_translation)
-    r = P - target
+    if positions is None:
+        if root_translation is None:
+            root_translation = np.zeros(3)
+        positions, _ = fk_positions_and_frames(skeleton, theta, root_translation)
+    r = positions - target
     nv = int(mask.sum())
     l_pos = float(np.sum(r[mask] ** 2) / nv)
     l_prior = float(np.sum((theta - theta_geo) ** 2) / n)
@@ -164,7 +167,7 @@ def fit_loss(skeleton, theta, target, theta_geo, mask, config,
 def fit_loss_gradient(
     skeleton, theta, target, theta_geo, mask, config, root_translation=None
 ):
-    """Analytic gradient of the total loss: 2 J^T r of the solver's residual.
+    """Analytic gradient of the total loss, built as the LM solver builds it.
 
     If config.fit_root_translation is set, three root-translation components
     are appended, giving a (3N + 3)-vector; otherwise a 3N-vector.
@@ -175,74 +178,76 @@ def fit_loss_gradient(
     mask = np.asarray(mask, dtype=bool)
     if root_translation is None:
         root_translation = np.zeros(3)
-    r, J = _residual_jacobian(
-        skeleton, theta, target, theta_geo, mask, config, root_translation,
-        _descendant_lists(skeleton),
+    P, G = fk_positions_and_frames(skeleton, theta, root_translation)
+    r_pos, J_pos = _residual_jacobian(
+        skeleton, theta, target, mask, P, G, _descendant_mask(skeleton, mask),
+        config.fit_root_translation,
     )
-    return 2.0 * (J.T @ r)
+    return _gradient(r_pos, J_pos, theta, theta_geo, _bone_axes(skeleton), config)
 
 
-def _descendant_lists(skeleton):
-    """Strict-descendant index arrays per joint (canonical order)."""
+def _descendant_mask(skeleton, mask):
+    """W[i, k] = 1 where joint k is a mask-valid strict descendant of joint i."""
     n = skeleton.joint_count
-    desc = [[] for _ in range(n)]
-    for k in range(n - 1, 0, -1):
+    W = np.zeros((n, n))
+    for k in range(1, n):  # parents come first: column k extends its parent's
         p = skeleton.parents[k]
-        desc[p].append(k)
-        desc[p].extend(desc[k])
-    return [np.array(sorted(d), dtype=int) for d in desc]
+        W[:, k] = W[:, p]
+        W[p, k] = 1.0
+    return W * mask[None, :]
 
 
-def _residual_jacobian(skeleton, theta, target, theta_geo, mask, config,
-                       root_translation, descendants, bone_axes=None):
-    """Stacked residual vector and its Jacobian for the damped-step solver.
+def _residual_jacobian(skeleton, theta, target, mask, P, G, W, fit_root_translation):
+    """Position residual rows and their Jacobian at the FK result (P, G).
 
-    The loss is exactly ||r||^2: position rows scaled by sqrt(1/Nv), prior
-    rows by sqrt(lambda_prior/N), twist rows by sqrt(lambda_twist/N).
+    The position loss is exactly ||r_pos||^2, with rows scaled by sqrt(1/Nv).
+    The prior and twist rows are linear in theta; they enter the solver in
+    closed form (_gradient and _constant_curvature).
     """
     n = skeleton.joint_count
-    P, G = fk_positions_and_frames(skeleton, theta, root_translation)
-    nv = int(mask.sum())
-    params = 3 * n + (3 if config.fit_root_translation else 0)
-    a = np.sqrt(1.0 / nv)
-
+    a = np.sqrt(1.0 / int(mask.sum()))
     r_pos = (a * np.where(mask[:, None], P - target, 0.0)).ravel()
-    J_pos = np.zeros((3 * n, params))
-    Ja_all = batch_axis_angle_jacobian(theta)
-    Gp_all = np.empty((n, 3, 3))
-    Gp_all[0] = np.eye(3)
-    Gp_all[1:] = G[skeleton.parents[1:]]
+    Gp = np.empty((n, 3, 3))
+    Gp[0] = np.eye(3)
+    Gp[1:] = G[skeleton.parents[1:]]
     # T[i, a] = Gp_i Ja_ia Gi^T maps a local axis-angle nudge to world motion
-    T_all = np.einsum("ice,iaef,idf->iacd", Gp_all, Ja_all, G)
-    W = np.zeros((n, n))
-    for i, d_idx in enumerate(descendants):
-        W[i, d_idx] = 1.0
-    W *= mask[None, :]
-    D = P[None, :, :] - P[:, None, :]  # D[i, k] = P_k - P_i
-    # d r_pos[3k+c] / d theta[i, a] = a * (T[i, a] @ (P_k - P_i))_c for
-    # mask-valid descendants k of i
-    blocks = a * np.einsum("iacd,ikd,ik->kcia", T_all, D, W)
-    J_pos[:, : 3 * n] = blocks.reshape(3 * n, 3 * n)
-    if config.fit_root_translation:
-        for k in range(n):
-            if mask[k]:
-                J_pos[3 * k : 3 * k + 3, 3 * n :] = a * np.eye(3)
+    T = Gp[:, None] @ batch_axis_angle_jacobian(theta) @ G.transpose(0, 2, 1)[:, None]
+    # DW[i, :, k] = a * (P_k - P_i) for mask-valid descendants k of i, else 0
+    DW = (a * W)[:, None, :] * (P.T[None, :, :] - P[:, :, None])
+    # d r_pos[3k + c] / d theta[i, a] = (T[i, a] @ DW[i, :, k])_c
+    blocks = (T.reshape(n, 9, 3) @ DW).reshape(n, 3, 3, n)
+    J_pos = np.zeros((3 * n, 3 * n + (3 if fit_root_translation else 0)))
+    J_pos[:, : 3 * n] = blocks.transpose(3, 2, 0, 1).reshape(3 * n, 3 * n)
+    if fit_root_translation:
+        J_pos[:, 3 * n :] = (a * mask[:, None, None] * np.eye(3)).reshape(3 * n, 3)
+    return r_pos, J_pos
 
-    b = np.sqrt(config.lambda_prior / n)
-    r_prior = (b * (theta - theta_geo)).ravel()
-    J_prior = np.zeros((3 * n, params))
-    J_prior[:, : 3 * n] = b * np.eye(3 * n)
 
-    c = np.sqrt(config.lambda_twist / n)
-    u = _bone_axes(skeleton) if bone_axes is None else bone_axes
-    r_twist = c * np.einsum("ic,ic->i", theta, u)
-    J_twist = np.zeros((n, params))
-    for i in range(n):
-        J_twist[i, 3 * i : 3 * i + 3] = c * u[i]
+def _gradient(r_pos, J_pos, theta, theta_geo, bone_axes, config):
+    """Gradient of the total loss: 2 J_pos^T r_pos plus the closed-form
+    gradient of the prior and twist terms."""
+    n = theta.shape[0]
+    twist = np.einsum("ic,ic->i", theta, bone_axes)[:, None] * bone_axes
+    g = 2.0 * (J_pos.T @ r_pos)
+    g[: 3 * n] += (2.0 / n) * (
+        config.lambda_prior * (theta - theta_geo) + config.lambda_twist * twist
+    ).ravel()
+    return g
 
-    r = np.concatenate([r_pos, r_prior, r_twist])
-    J = np.vstack([J_pos, J_prior, J_twist])
-    return r, J
+
+def _constant_curvature(params, bone_axes, config):
+    """The prior and twist part of the Gauss-Newton matrix, which does not
+    depend on theta: 2 (lambda_prior/N I + lambda_twist/N blockdiag(u u^T)),
+    zero on the root translation."""
+    n = bone_axes.shape[0]
+    blocks = config.lambda_prior * np.eye(3) + config.lambda_twist * (
+        bone_axes[:, :, None] * bone_axes[:, None, :]
+    )
+    diag = np.zeros((n, 3, n, 3))
+    diag[np.arange(n), :, np.arange(n), :] = (2.0 / n) * blocks
+    H = np.zeros((params, params))
+    H[: 3 * n, : 3 * n] = diag.reshape(3 * n, 3 * n)
+    return H
 
 
 def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None):
@@ -260,11 +265,8 @@ def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None
         config = FitConfig()
     n = skeleton.joint_count
     target = np.asarray(target, dtype=float)
-    if mask is None:
-        mask = np.ones(n, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-    geo_rot = theta_geo.rotations if isinstance(theta_geo, Pose) else np.asarray(theta_geo)
+    mask = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    geo_rot = np.reshape(theta_geo.rotations if isinstance(theta_geo, Pose) else theta_geo, (n, 3))
     if isinstance(theta_init, Pose):
         init_rot = theta_init.rotations
         root_t = theta_init.root_translation
@@ -273,46 +275,44 @@ def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None
         root_t = np.zeros(3)
 
     fit_root = config.fit_root_translation
-    descendants = _descendant_lists(skeleton)
     bone_axes = _bone_axes(skeleton)
+    W = _descendant_mask(skeleton, mask)
+    params = 3 * n + (3 if fit_root else 0)
+    H_const = _constant_curvature(params, bone_axes, config)
+    eye = np.eye(params)
 
     def unpack(x):
         if fit_root:
             return x[: 3 * n].reshape(n, 3), x[3 * n :]
         return x.reshape(n, 3), root_t
 
-    def loss_of(x):
+    def evaluate(x):
+        """Loss at x and the FK result it used, kept for the next Jacobian."""
         th, rt = unpack(x)
-        return fit_loss(
-            skeleton, th, target, geo_rot, mask, config, rt, bone_axes
-        )
+        P, G = fk_positions_and_frames(skeleton, th, rt)
+        terms = fit_loss(skeleton, th, target, geo_rot, mask, config, rt, bone_axes, P)
+        return terms, (P, G)
 
-    if fit_root:
-        x = np.concatenate([init_rot.ravel(), root_t])
-    else:
-        x = init_rot.ravel().copy()
+    x = np.concatenate([init_rot.ravel(), root_t] if fit_root else [init_rot.ravel()])
 
-    terms = loss_of(x)
+    terms, fk = evaluate(x)
     accepted = [terms.total]
     mu = 1.0 / config.step_init
     iters = 0
     for _ in range(config.max_iters):
-        th, rt = unpack(x)
-        r, J = _residual_jacobian(
-            skeleton, th, target, geo_rot, mask, config, rt, descendants,
-            bone_axes,
-        )
-        g = 2.0 * (J.T @ r)
+        th, _ = unpack(x)
+        r_pos, J_pos = _residual_jacobian(skeleton, th, target, mask, *fk, W, fit_root)
+        g = _gradient(r_pos, J_pos, th, geo_rot, bone_axes, config)
         if np.max(np.abs(g)) < config.grad_tol:
             break
-        H = 2.0 * (J.T @ J)
+        H = 2.0 * (J_pos.T @ J_pos) + H_const
         moved = False
         while mu < 1.0 / _STEP_UNDERFLOW:
-            delta = np.linalg.solve(H + mu * np.eye(H.shape[0]), -g)
+            delta = np.linalg.solve(H + mu * eye, -g)
             x_new = x + delta
-            terms_new = loss_of(x_new)
+            terms_new, fk_new = evaluate(x_new)
             if terms_new.total < terms.total:
-                x, terms = x_new, terms_new
+                x, terms, fk = x_new, terms_new, fk_new
                 accepted.append(terms.total)
                 mu = max(mu / 3.0, 1e-12)
                 moved = True
@@ -370,18 +370,17 @@ def fit_sequence(skeleton, trajectory, config=None):
     if not trajectory.mask[0] and not config.fit_root_translation:
         config = replace(config, fit_root_translation=True)
         root_diag = ["root joint masked out: root translation fitted"]
-    rotations, roots, reports = [], [], []
+    poses, reports = [], []
     for t in range(trajectory.frame_count):
         target = trajectory.positions[t]
         geo_pose, geo_diag = geometric_init_frame(skeleton, target, trajectory.mask)
         start = geo_pose
-        if rotations:  # warm start from the previous frame's solution
-            start = Pose(rotations=rotations[-1], root_translation=geo_pose.root_translation)
+        if poses:  # warm start from the previous frame's solution
+            start = Pose(rotations=poses[-1].rotations, root_translation=geo_pose.root_translation)
         result = refine_frame(
             skeleton, target, start, geo_pose, trajectory.mask, config
         )
-        rotations.append(result.pose.rotations)
-        roots.append(result.pose.root_translation)
+        poses.append(result.pose)
         reports.append(
             {
                 "loss_total": result.loss_terms.total,
@@ -393,4 +392,4 @@ def fit_sequence(skeleton, trajectory, config=None):
                 "diagnostics": root_diag + list(geo_diag) + list(result.diagnostics),
             }
         )
-    return AnimationClip(np.stack(rotations), np.stack(roots), fps=trajectory.fps), reports
+    return clip_from_poses(poses, trajectory.fps), reports

@@ -149,6 +149,16 @@ class TestEval:
         # two JSON sides carry no hierarchy at all: validation error
         assert run("eval", "--pred", pa, "--gt", pb, "--metric", "cds") == 2
 
+    def test_all_metrics_of_two_trajectories(self, tmp_path, capsys, caplog):
+        # no side carries a hierarchy: "all" reports the joint metrics, cds null
+        _, js = synth_pair(tmp_path)
+        with caplog.at_level("WARNING", logger="rigfit"):
+            assert run("eval", "--pred", js, "--gt", js) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mpjpe"] == 0.0 and report["mpjve"] == 0.0
+        assert report["cds"] is None and report["cds_per_frame"] is None
+        assert "cds skipped" in caplog.text
+
     def test_masked_trajectory_scores_shared_joints(self, tmp_path, capsys):
         # a BVH side is valid everywhere; only the JSON side's valid joints count
         bvh, js = synth_pair(tmp_path)

@@ -14,8 +14,11 @@ from rigfit import (
     validate_skeleton,
 )
 from rigfit.fit import (
+    _bone_axes,
+    _constant_curvature,
+    _descendant_mask,
+    _gradient,
     _residual_jacobian,
-    _descendant_lists,
     fit_loss,
     fit_loss_gradient,
     refine_frame,
@@ -23,7 +26,12 @@ from rigfit.fit import (
 from rigfit.metrics import mpjpe, mpjve
 from rigfit.normalize import remove_global_translation, sequence_normalize
 from rigfit.rotations import axis_angle_to_matrix, euler_to_matrix
-from rigfit.skeleton import fk_sequence, identity_pose, rest_pose_positions
+from rigfit.skeleton import (
+    fk_positions_and_frames,
+    fk_sequence,
+    identity_pose,
+    rest_pose_positions,
+)
 from tests.conftest import random_skeleton, scaled_skeleton, smooth_clip
 
 
@@ -189,6 +197,30 @@ class TestFitLossGradient:
             assert g[3 * n + a] == pytest.approx((lp - lm) / (2 * h), rel=1e-5, abs=1e-8)
 
 
+def full_residual(sk, theta, geo, cfg, r_pos, J_pos):
+    """Reference stacked residual and Jacobian: position rows, then prior rows
+    scaled by sqrt(lambda_prior/N), then twist rows by sqrt(lambda_twist/N)."""
+    n = sk.joint_count
+    params = J_pos.shape[1]
+    b = np.sqrt(cfg.lambda_prior / n)
+    c = np.sqrt(cfg.lambda_twist / n)
+    u = _bone_axes(sk)
+    J_prior = np.zeros((3 * n, params))
+    J_prior[:, : 3 * n] = b * np.eye(3 * n)
+    J_twist = np.zeros((n, params))
+    for i in range(n):
+        J_twist[i, 3 * i : 3 * i + 3] = c * u[i]
+    r = np.concatenate([r_pos, b * (theta - geo).ravel(), c * np.einsum("ic,ic->i", theta, u)])
+    return r, np.vstack([J_pos, J_prior, J_twist])
+
+
+def position_rows(sk, theta, target, mask, cfg, root=None):
+    P, G = fk_positions_and_frames(sk, theta, np.zeros(3) if root is None else root)
+    return _residual_jacobian(
+        sk, theta, target, mask, P, G, _descendant_mask(sk, mask), cfg.fit_root_translation
+    )
+
+
 class TestResidualJacobian:
     def test_residual_norm_equals_loss(self, rng):
         n = 7
@@ -198,11 +230,10 @@ class TestResidualJacobian:
         geo = rng.normal(size=(n, 3)) * 0.5
         target = rng.normal(size=(n, 3))
         mask = np.ones(n, bool)
-        r, J = _residual_jacobian(
-            sk, theta, target, geo, mask, cfg, np.zeros(3), _descendant_lists(sk)
-        )
-        loss = fit_loss(sk, theta, target, geo, mask, cfg).total
-        assert float(r @ r) == pytest.approx(loss, rel=1e-12)
+        r_pos, _ = position_rows(sk, theta, target, mask, cfg)
+        terms = fit_loss(sk, theta, target, geo, mask, cfg)
+        total = float(r_pos @ r_pos) + cfg.lambda_prior * terms.prior + cfg.lambda_twist * terms.twist
+        assert total == pytest.approx(terms.total, rel=1e-12)
 
     def test_jt_r_equals_half_gradient(self, rng):
         n = 6
@@ -212,11 +243,32 @@ class TestResidualJacobian:
         geo = rng.normal(size=(n, 3)) * 0.5
         target = rng.normal(size=(n, 3))
         mask = np.ones(n, bool)
-        r, J = _residual_jacobian(
-            sk, theta, target, geo, mask, cfg, np.zeros(3), _descendant_lists(sk)
-        )
+        r_pos, J_pos = position_rows(sk, theta, target, mask, cfg)
+        r, J = full_residual(sk, theta, geo, cfg, r_pos, J_pos)
         g = fit_loss_gradient(sk, theta, target, geo, mask, cfg)
         np.testing.assert_allclose(2.0 * (J.T @ r), g, atol=1e-10)
+
+    @pytest.mark.parametrize("fit_root", [False, True])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_normal_equations_match_full_residual(self, rng, fit_root, masked):
+        # the closed-form prior/twist blocks equal the stacked rows' J^T J, J^T r
+        n = 9
+        sk = random_skeleton(rng, n)
+        cfg = FitConfig(lambda_prior=0.3, lambda_twist=0.2, fit_root_translation=fit_root)
+        theta = rng.normal(size=(n, 3)) * 0.5
+        geo = rng.normal(size=(n, 3)) * 0.5
+        target = rng.normal(size=(n, 3))
+        mask = np.ones(n, bool)
+        if masked:
+            mask[[2, 5, 6]] = False
+        r_pos, J_pos = position_rows(sk, theta, target, mask, cfg, rng.normal(size=3))
+        r, J = full_residual(sk, theta, geo, cfg, r_pos, J_pos)
+        params = 3 * n + (3 if fit_root else 0)
+        assert J_pos.shape == (3 * n, params)
+        g = _gradient(r_pos, J_pos, theta, geo, _bone_axes(sk), cfg)
+        H = 2.0 * (J_pos.T @ J_pos) + _constant_curvature(params, _bone_axes(sk), cfg)
+        np.testing.assert_allclose(g, 2.0 * (J.T @ r), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(H, 2.0 * (J.T @ J), rtol=0.0, atol=1e-12)
 
 
 class TestRefineFrame:
@@ -278,6 +330,34 @@ class TestRefineFrame:
         ).total
         assert res.final_loss <= geo_loss + 1e-12
 
+    @pytest.mark.parametrize("fit_root", [False, True])
+    def test_one_fk_per_loss_evaluation(self, rng, monkeypatch, fit_root):
+        # each trial point runs FK once; an accepted step's FK feeds the next
+        # Jacobian, so no Jacobian runs FK of its own
+        import rigfit.fit as fit_module
+
+        calls = {"fk": 0, "loss": 0, "jacobian": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fit_module, "fk_positions_and_frames",
+                            counted("fk", fit_module.fk_positions_and_frames))
+        monkeypatch.setattr(fit_module, "fit_loss", counted("loss", fit_module.fit_loss))
+        monkeypatch.setattr(fit_module, "_residual_jacobian",
+                            counted("jacobian", fit_module._residual_jacobian))
+        n = 12
+        sk = random_skeleton(rng, n)
+        target = forward_kinematics(sk, Pose(rotations=rng.normal(size=(n, 3)) * 0.6))
+        geo, _ = geometric_init_frame(sk, target)
+        init = geo.rotations + rng.normal(size=(n, 3)) * 0.2
+        res = refine_frame(sk, target, init, geo, config=FitConfig(fit_root_translation=fit_root))
+        assert res.iterations_used > 2 and calls["jacobian"] > 2
+        assert calls["fk"] == calls["loss"]
+
 
 class TestFitSequence:
     def fitted_roundtrip(self, rng, n, frames):
@@ -289,6 +369,24 @@ class TestFitSequence:
         skn = scaled_skeleton(sk, transform.scale)
         fitted, reports = fit_sequence(skn, traj)
         return skn, traj, fitted, reports
+
+    def test_clip_rows_equal_refined_poses_bitwise(self, rng, monkeypatch):
+        # each fitted frame is canonicalized once, by its refined Pose
+        import rigfit.fit as fit_module
+
+        poses = []
+
+        def recording(*args, **kwargs):
+            result = refine_frame(*args, **kwargs)
+            poses.append(result.pose)
+            return result
+
+        monkeypatch.setattr(fit_module, "refine_frame", recording)
+        skn, traj, fitted, reports = self.fitted_roundtrip(rng, 24, 3)
+        assert len(poses) == fitted.frame_count == 3
+        for t, pose in enumerate(poses):
+            assert np.array_equal(fitted.rotations[t], pose.rotations)
+            assert np.array_equal(fitted.root_translation[t], pose.root_translation)
 
     def test_round_trip_mpjpe(self, rng):
         skn, traj, fitted, reports = self.fitted_roundtrip(rng, 10, 8)
