@@ -18,7 +18,7 @@ from .errors import (
     TrajectoryFormatError,
     ValidationError,
 )
-from .fit import FitConfig, FrameFitResult, fit_sequence, geometric_init_frame
+from .fit import FitConfig, FrameFitResult, fit_sequence, geometric_init, geometric_init_frame
 from .skeleton import (
     AnimationClip,
     JointTrajectory,
@@ -47,6 +47,7 @@ __all__ = [
     "fit_sequence",
     "fk_sequence",
     "forward_kinematics",
+    "geometric_init",
     "geometric_init_frame",
     "rest_pose_positions",
     "validate_skeleton",

@@ -1,6 +1,6 @@
-"""Two-stage IK: closed-form geometric initialization per frame, then
-first-order refinement of axis-angle parameters with position, prior and
-twist terms, warm-started across frames.
+"""Two-stage IK: closed-form geometric initialization of all frames at once,
+then first-order refinement of axis-angle parameters with position, prior
+and twist terms, frame by frame and warm-started across frames.
 """
 from __future__ import annotations
 
@@ -11,37 +11,38 @@ import numpy as np
 
 from .errors import ValidationError
 from .rotations import (
+    _norm,
     batch_axis_angle_jacobian,
+    canonicalize_axis_angle,
     matrix_to_axis_angle,
     orthogonal_procrustes,
-    rotation_between_vectors,
 )
 from .skeleton import Pose, clip_from_poses, fk_positions_and_frames
 
 _DIR_EPS = 1e-9
 _STEP_UNDERFLOW = 1e-16
+_MU_INIT = 10.0  # initial damping of the refinement step
+_GRAD_TOL = 1e-6  # refinement stops once max |gradient| falls below this
 
 
 @dataclass(frozen=True)
 class FitConfig:
     """Loss weights and iteration budget for the refinement stage.
 
-    step_init seeds the damping of the refinement step as 1/step_init;
-    larger values start with bolder steps.
+    The loss weights must be finite and nonnegative. The damping starts at
+    _MU_INIT (10) and the iteration stops once max |gradient| < _GRAD_TOL (1e-6).
     """
 
     lambda_prior: float = 1e-3
     lambda_twist: float = 1e-4
     max_iters: int = 200
-    grad_tol: float = 1e-6
-    step_init: float = 1e-1
     fit_root_translation: bool = False
 
     def __post_init__(self):
-        if self.lambda_prior < 0.0 or self.lambda_twist < 0.0:
-            raise ValidationError("loss weights must be nonnegative")
-        if self.max_iters < 1 or self.grad_tol <= 0.0 or self.step_init <= 0.0:
-            raise ValidationError("iteration budget and tolerances must be positive")
+        if not all(0.0 <= w < np.inf for w in (self.lambda_prior, self.lambda_twist)):
+            raise ValidationError("loss weights must be finite and nonnegative")
+        if self.max_iters < 1:
+            raise ValidationError("the iteration budget must be positive")
 
 
 class LossTerms(NamedTuple):
@@ -56,7 +57,6 @@ class FrameFitResult:
     pose: Pose
     final_loss: float
     iterations_used: int
-    init_pose: Pose  # the geometric-initialization frame
     loss_terms: LossTerms
     accepted_losses: tuple
     diagnostics: tuple = field(default_factory=tuple)
@@ -64,75 +64,70 @@ class FrameFitResult:
 
 def _bone_axes(skeleton):
     """Unit direction of each joint's own offset; zero rows where undefined."""
-    u = np.zeros((skeleton.joint_count, 3))
-    lengths = np.linalg.norm(skeleton.offsets, axis=1)
-    ok = ~skeleton.zero_offset & (lengths > 0.0)
-    u[ok] = skeleton.offsets[ok] / lengths[ok, None]
-    return u
+    lengths = np.where(skeleton.zero_offset, np.inf, _norm(skeleton.offsets))
+    return skeleton.offsets / lengths[:, None]
+
+
+def geometric_init(skeleton, targets, mask=None):
+    """Closed-form IK estimate of every frame by aligning bone directions.
+
+    One parent-first pass over the joints, each joint solved for all T frames
+    of the (T, N, 3) targets at once: a weighted orthogonal Procrustes fit of
+    its rest child bones onto the observed ones, which for a single weighted
+    child is the minimal rotation. A child weighs 0 when it is masked, its
+    rest bone has zero length or its observed bone is degenerate in that
+    frame; a masked joint weighs all its children 0 and keeps identity, as do
+    leaves. Returns rotations (T, N, 3), root translations (T, 3) and, per
+    frame, a list of diagnostic strings for degenerate joints.
+    """
+    n = skeleton.joint_count
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 3 or targets.shape[1:] != (n, 3):
+        raise ValidationError("targets must be TxNx3 for this skeleton")
+    mask = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if not np.all(np.isfinite(targets[:, mask])):
+        raise ValidationError("target has non-finite valid positions")
+    targets = np.where(mask[:, None], targets, 0.0)  # masked positions are never read
+
+    frames = targets.shape[0]
+    names = skeleton.joint_names
+    rest = _bone_axes(skeleton)
+    usable = mask & ~skeleton.zero_offset
+    local = np.tile(np.eye(3), (frames, n, 1, 1))
+    G = np.empty((frames, n, 3, 3))
+    diagnostics = [[] for _ in range(frames)]
+    for i, kids in enumerate(skeleton.children()):
+        if not kids:
+            continue  # a leaf aligns no bone and is no joint's parent
+        p = skeleton.parents[i]
+        Gp = np.eye(3) if p < 0 else G[:, p]
+        valid = usable[kids] & mask[i]
+        obs = targets[:, kids] - targets[:, i, None]
+        obs_len = _norm(obs)
+        short = valid & (obs_len < _DIR_EPS)
+        weights = valid & ~short
+        obs_dirs = obs / np.where(weights, obs_len, np.inf)[..., None]
+        # observed directions in the parent's frame: Gp^T v, as row vectors
+        R, degenerate = orthogonal_procrustes(rest[kids], obs_dirs @ Gp, weights)
+        for t, k in zip(*np.nonzero(short)):
+            diagnostics[t].append(
+                f"joint {names[i]}: observed bone to {names[kids[k]]} is degenerate")
+        if not mask[i]:
+            for notes in diagnostics:
+                notes.append(f"joint {names[i]}: masked out, identity kept")
+        for t in np.flatnonzero(degenerate):
+            diagnostics[t].append(f"joint {names[i]}: zero Procrustes covariance")
+        local[:, i] = R
+        G[:, i] = Gp @ R
+    rotations = canonicalize_axis_angle(matrix_to_axis_angle(local))
+    roots = targets[:, 0] if mask[0] else np.zeros((frames, 3))
+    return rotations, roots, diagnostics
 
 
 def geometric_init_frame(skeleton, target, mask=None):
-    """Closed-form per-frame IK estimate by aligning bone directions.
-
-    Parent-first traversal: single-child joints align the rest bone with the
-    observed bone via the minimal axis-angle rotation, multi-child joints
-    solve an orthogonal Procrustes problem over all valid children.  Leaves,
-    masked joints and zero-length bones keep identity.  Returns the pose and
-    a list of diagnostic strings for degenerate joints.
-    """
-    n = skeleton.joint_count
-    target = np.asarray(target, dtype=float)
-    if target.shape != (n, 3):
-        raise ValidationError("target must be Nx3 for this skeleton")
-    if mask is None:
-        mask = np.ones(n, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-    if not np.all(np.isfinite(target[mask])):
-        raise ValidationError("target has non-finite valid positions")
-
-    children = skeleton.children()
-    zero_bone = skeleton.zero_offset
-    local = np.empty((n, 3, 3))
-    G = np.empty((n, 3, 3))
-    diagnostics = []
-    for i in range(n):
-        p = skeleton.parents[i]
-        Gp = np.eye(3) if p < 0 else G[p]
-        rest_dirs = []
-        obs_dirs = []
-        if mask[i]:
-            for c in children[i]:
-                if not mask[c] or zero_bone[c]:
-                    continue
-                obs = target[c] - target[i]
-                obs_len = np.linalg.norm(obs)
-                if obs_len < _DIR_EPS:
-                    diagnostics.append(
-                        f"joint {skeleton.joint_names[i]}: observed bone to "
-                        f"{skeleton.joint_names[c]} is degenerate"
-                    )
-                    continue
-                rest_dirs.append(skeleton.offsets[c] / np.linalg.norm(skeleton.offsets[c]))
-                obs_dirs.append(Gp.T @ (obs / obs_len))
-        elif children[i]:
-            diagnostics.append(
-                f"joint {skeleton.joint_names[i]}: masked out, identity kept"
-            )
-        if len(rest_dirs) == 0:
-            R = np.eye(3)
-        elif len(rest_dirs) == 1:
-            R = rotation_between_vectors(rest_dirs[0], obs_dirs[0])
-        else:
-            R, degenerate = orthogonal_procrustes(rest_dirs, obs_dirs)
-            if degenerate:
-                diagnostics.append(
-                    f"joint {skeleton.joint_names[i]}: zero Procrustes covariance"
-                )
-        local[i] = R
-        G[i] = Gp @ R
-    root_t = target[0] if mask[0] else np.zeros(3)
-    return Pose(matrix_to_axis_angle(local), root_translation=root_t), diagnostics
+    """geometric_init of one (N, 3) target: (Pose, list of diagnostics)."""
+    rotations, roots, diagnostics = geometric_init(skeleton, np.asarray(target)[None], mask)
+    return Pose(rotations[0], root_translation=roots[0]), diagnostics[0]
 
 
 def fit_loss(skeleton, theta, target, theta_geo, mask, config,
@@ -250,7 +245,8 @@ def _constant_curvature(params, bone_axes, config):
     return H
 
 
-def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None):
+def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None,
+                 root_translation=None):
     """Damped least-squares refinement from theta_init, anchored at theta_geo.
 
     Each iteration solves (2 J^T J + mu I) delta = -g from first-derivative
@@ -258,21 +254,18 @@ def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None
     decreases (damping relaxes), otherwise the damping grows and the step
     shrinks. The accepted-iterate loss sequence is therefore non-increasing,
     and the result never scores worse than the geometric initialization (the
-    better of the two is returned). theta_init carries the starting rotations
-    and root translation.
+    better of the two is returned). theta_init and theta_geo are (N, 3)
+    rotations; root_translation (zeros by default) is the start's and the
+    geometric initialization's root translation.
     """
     if config is None:
         config = FitConfig()
     n = skeleton.joint_count
     target = np.asarray(target, dtype=float)
     mask = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    geo_rot = np.reshape(theta_geo.rotations if isinstance(theta_geo, Pose) else theta_geo, (n, 3))
-    if isinstance(theta_init, Pose):
-        init_rot = theta_init.rotations
-        root_t = theta_init.root_translation
-    else:
-        init_rot = np.asarray(theta_init, dtype=float)
-        root_t = np.zeros(3)
+    geo_rot = np.reshape(theta_geo, (n, 3))
+    init_rot = np.asarray(theta_init, dtype=float)
+    root_t = np.zeros(3) if root_translation is None else np.asarray(root_translation, float)
 
     fit_root = config.fit_root_translation
     bone_axes = _bone_axes(skeleton)
@@ -297,13 +290,13 @@ def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None
 
     terms, fk = evaluate(x)
     accepted = [terms.total]
-    mu = 1.0 / config.step_init
+    mu = _MU_INIT
     iters = 0
     for _ in range(config.max_iters):
         th, _ = unpack(x)
         r_pos, J_pos = _residual_jacobian(skeleton, th, target, mask, *fk, W, fit_root)
         g = _gradient(r_pos, J_pos, th, geo_rot, bone_axes, config)
-        if np.max(np.abs(g)) < config.grad_tol:
+        if np.max(np.abs(g)) < _GRAD_TOL:
             break
         H = 2.0 * (J_pos.T @ J_pos) + H_const
         moved = False
@@ -324,26 +317,19 @@ def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None
 
     diagnostics = []
     theta_final, root_final = unpack(x)
-    geo_root = theta_geo.root_translation if isinstance(theta_geo, Pose) else root_t
     geo_terms = fit_loss(
-        skeleton, geo_rot, target, geo_rot, mask, config, geo_root, bone_axes
+        skeleton, geo_rot, target, geo_rot, mask, config, root_t, bone_axes
     )
     if geo_terms.total < terms.total:
         # warm start came in above the closed-form estimate; keep the better one
-        theta_final, root_final, terms = geo_rot, geo_root, geo_terms
+        theta_final, root_final, terms = geo_rot, root_t, geo_terms
         accepted.append(terms.total)
         diagnostics.append("refinement fell back to the geometric initialization")
 
-    init_pose = (
-        theta_geo
-        if isinstance(theta_geo, Pose)
-        else Pose(rotations=geo_rot, root_translation=root_t)
-    )
     return FrameFitResult(
         pose=Pose(rotations=theta_final, root_translation=root_final),
         final_loss=terms.total,
         iterations_used=iters,
-        init_pose=init_pose,
         loss_terms=terms,
         accepted_losses=tuple(accepted),
         diagnostics=tuple(diagnostics),
@@ -351,14 +337,15 @@ def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None
 
 
 def fit_sequence(skeleton, trajectory, config=None):
-    """Fit a whole trajectory: per-frame geometric init, warm-started refinement.
+    """Fit a whole trajectory: geometric init of all frames, then warm-started
+    refinement frame by frame.
 
     Frame 0 starts from its own geometric estimate; frame t > 0 starts from
-    the previous solution with the prior anchored at frame t's own estimate.
-    Root translation is read from the trajectory's root joint and further
-    optimized when config.fit_root_translation is set. A masked root gives
-    no position to read, so its translation is then always optimized, and
-    each frame's diagnostics say so.
+    the previous frame's refined rows as they are, with the prior anchored at
+    frame t's own estimate. Root translation is read from the trajectory's
+    root joint and further optimized when config.fit_root_translation is set.
+    A masked root gives no position to read, so its translation is then
+    always optimized, and each frame's diagnostics say so.
 
     Returns (AnimationClip, per-frame diagnostics dicts).
     """
@@ -370,15 +357,13 @@ def fit_sequence(skeleton, trajectory, config=None):
     if not trajectory.mask[0] and not config.fit_root_translation:
         config = replace(config, fit_root_translation=True)
         root_diag = ["root joint masked out: root translation fitted"]
+    geo_rot, geo_root, geo_diag = geometric_init(skeleton, trajectory.positions, trajectory.mask)
     poses, reports = [], []
     for t in range(trajectory.frame_count):
-        target = trajectory.positions[t]
-        geo_pose, geo_diag = geometric_init_frame(skeleton, target, trajectory.mask)
-        start = geo_pose
-        if poses:  # warm start from the previous frame's solution
-            start = Pose(rotations=poses[-1].rotations, root_translation=geo_pose.root_translation)
+        start = poses[-1].rotations if poses else geo_rot[t]
         result = refine_frame(
-            skeleton, target, start, geo_pose, trajectory.mask, config
+            skeleton, trajectory.positions[t], start, geo_rot[t], trajectory.mask, config,
+            root_translation=geo_root[t],
         )
         poses.append(result.pose)
         reports.append(
@@ -389,7 +374,7 @@ def fit_sequence(skeleton, trajectory, config=None):
                 "loss_twist": result.loss_terms.twist,
                 "iters": result.iterations_used,
                 "accepted_losses": list(result.accepted_losses),
-                "diagnostics": root_diag + list(geo_diag) + list(result.diagnostics),
+                "diagnostics": root_diag + geo_diag[t] + list(result.diagnostics),
             }
         )
     return clip_from_poses(poses, trajectory.fps), reports

@@ -108,67 +108,69 @@ def canonicalize_axis_angle(theta):
 
 def _perpendicular(a):
     # cross with the standard basis vector of least |component|: deterministic
-    k = int(np.argmin(np.abs(a)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    p = np.cross(a, e)
-    return p / np.linalg.norm(p)
+    p = np.cross(a, np.eye(3)[np.argmin(np.abs(a), axis=-1)])
+    return p / _norm(p)[..., None]
 
 
 def rotation_between_vectors(a, b):
-    """Minimal-angle rotation mapping direction a onto direction b.
+    """Minimal-angle rotations mapping each direction a onto b, for (..., 3)
+    stacks; result (..., 3, 3).
 
     Antiparallel inputs rotate by pi about a deterministic perpendicular axis.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < _TINY_VECTOR or nb < _TINY_VECTOR:
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    na, nb = _norm(a), _norm(b)
+    if np.any(np.minimum(na, nb) < _TINY_VECTOR):
         raise ValidationError("rotation_between_vectors: near-zero input vector")
-    ah = a / na
-    bh = b / nb
-    c = float(np.clip(ah @ bh, -1.0, 1.0))
+    ah, bh = a / na[..., None], b / nb[..., None]
+    c = np.clip((ah[..., None, :] @ bh[..., :, None])[..., 0, 0], -1.0, 1.0)
     axis = np.cross(ah, bh)
-    n = np.linalg.norm(axis)
-    if c < -1.0 + 1e-12 or (n < 1e-12 and c < 0.0):
-        return axis_angle_to_matrix(np.pi * _perpendicular(ah))
-    if n < 1e-12:
-        return np.eye(3)
-    angle = np.arccos(c)
-    return axis_angle_to_matrix(angle * axis / n)
+    n = _norm(axis)
+    parallel = n < 1e-12
+    antiparallel = (c < -1.0 + 1e-12) | (parallel & (c < 0.0))
+    theta = np.zeros(a.shape)  # parallel rows keep the identity
+    turn = ~parallel & ~antiparallel
+    theta[turn] = np.arccos(c[turn])[:, None] * axis[turn] / n[turn][:, None]
+    if np.any(antiparallel):
+        theta[antiparallel] = np.pi * _perpendicular(ah[antiparallel])
+    return batch_axis_angle_to_matrix(theta)
 
 
 def orthogonal_procrustes(rest_dirs, obs_dirs, weights=None):
-    """Best proper rotation mapping rest directions onto observed directions.
+    """Best proper rotations mapping rest directions onto observed directions.
 
-    Minimizes sum_k w_k ||R v_rest_k - v_obs_k||^2 over SO(3) via SVD of the
+    rest_dirs and obs_dirs are (..., K, 3) stacks that broadcast together;
+    weights (..., K) are nonnegative, ones by default. Each row minimizes
+    sum_k w_k ||R v_rest_k - v_obs_k||^2 over SO(3) via SVD of the weighted
     cross-covariance with determinant-sign correction (never a reflection).
-    Returns (R, degenerate) where degenerate flags an all-zero covariance
-    (identity returned in that case).
+    A row with exactly one positive weight takes the minimal-angle rotation
+    of that pair instead, and a row with none takes the identity. Returns
+    (R (..., 3, 3), degenerate (...)) where degenerate flags an all-zero
+    covariance over two or more weighted pairs (identity returned there).
     """
-    rest = np.atleast_2d(np.asarray(rest_dirs, dtype=float))
-    obs = np.atleast_2d(np.asarray(obs_dirs, dtype=float))
-    if rest.shape != obs.shape or rest.shape[0] < 1 or rest.shape[1] != 3:
-        raise ValidationError("orthogonal_procrustes: direction lists must match, Kx3")
-    if weights is None:
-        w = np.ones(rest.shape[0])
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (rest.shape[0],) or np.any(w < 0.0):
-            raise ValidationError("orthogonal_procrustes: bad weights")
-    if rest.shape[0] == 1:
-        # single pair degenerates to minimal-angle alignment
-        return rotation_between_vectors(rest[0], obs[0]), False
-    H = (obs * w[:, None]).T @ rest  # maps rest-frame onto obs-frame
-    if np.linalg.norm(H) < 1e-12:
-        return np.eye(3), True
-    U, _, Vt = np.linalg.svd(H)
-    d = np.sign(np.linalg.det(U @ Vt))
-    if d == 0.0:
-        d = 1.0
-    D = np.diag([1.0, 1.0, d])
-    return U @ D @ Vt, False
+    bad = "orthogonal_procrustes needs (..., K, 3) directions and nonnegative (..., K) weights"
+    try:
+        rest, obs = np.broadcast_arrays(np.asarray(rest_dirs, float), np.asarray(obs_dirs, float))
+        w = np.broadcast_to(1.0 if weights is None else np.asarray(weights, float), rest.shape[:-1])
+    except ValueError:
+        raise ValidationError(bad) from None
+    if rest.ndim < 2 or rest.shape[-1] != 3 or not np.all(w >= 0.0):
+        raise ValidationError(bad)
+    H = np.swapaxes(obs * w[..., None], -1, -2) @ rest  # maps rest-frame onto obs-frame
+    weighted = np.count_nonzero(w > 0.0, axis=-1)
+    degenerate = (weighted > 1) & (np.linalg.norm(H, axis=(-2, -1)) < 1e-12)
+    R = np.broadcast_to(np.eye(3), H.shape).copy()
+    solve = (weighted > 1) & ~degenerate
+    if np.any(solve):
+        U, _, Vt = np.linalg.svd(H[solve])
+        U[:, :, 2] *= np.where(np.linalg.det(U @ Vt) < 0.0, -1.0, 1.0)[:, None]  # U diag(1,1,d)
+        R[solve] = U @ Vt
+    single = weighted == 1
+    if np.any(single):
+        pick = (w[single] > 0.0)[..., None]  # the one weighted pair of each such row
+        rest_k, obs_k = (np.where(pick, v[single], 0.0).sum(axis=-2) for v in (rest, obs))
+        R[single] = rotation_between_vectors(rest_k, obs_k)
+    return R, degenerate
 
 
 def _elementary(axis, angle):

@@ -202,6 +202,9 @@ def validate_skeleton(joint_names, parents, offsets):
         raise SkeletonError(["skeleton has no joints"])
     if not np.all(np.isfinite(offs)):
         violations.append("non-finite offsets")
+    repeated = sorted({str(name) for name in names if names.count(name) > 1})
+    if repeated:
+        violations.append("repeated joint names: " + ", ".join(repeated))
     roots = [i for i, p in enumerate(parents) if p == -1]
     if len(roots) == 0:
         violations.append("no root joint (parent -1)")

@@ -34,6 +34,9 @@ def trajectory_from_dict(data):
         if key not in data:
             raise TrajectoryFormatError(f"trajectory JSON missing {key!r}")
     names = list(data["joint_names"])
+    repeated = sorted({str(n) for n in names if names.count(n) > 1})
+    if repeated:
+        raise TrajectoryFormatError("joint_names repeat: " + ", ".join(repeated))
     try:
         frames = np.asarray(data["frames"], dtype=float)
     except ValueError as exc:

@@ -101,6 +101,31 @@ class TestFit:
         assert run("fit", "--rig", RIG, "--traj", str(traj_path),
                    "--out", str(tmp_path / "o.bvh")) == 2
 
+    @pytest.mark.parametrize("flag", ["--lambda-prior", "--lambda-twist"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_loss_weight_exit_2(self, tmp_path, caplog, flag, value):
+        _, js = synth_pair(tmp_path, frames=2)
+        assert run("fit", "--rig", RIG, "--traj", js, "--out", str(tmp_path / "o.bvh"),
+                   flag, value) == 2
+        assert "loss weights must be finite" in caplog.text
+
+    def test_repeated_trajectory_name_exit_2(self, tmp_path, caplog):
+        # a decoy column reusing LegL's name must not silently stand in for it
+        _, js = synth_pair(tmp_path, rig=STAR, frames=3)
+        traj, names = load_trajectory(js)
+        decoy = np.concatenate([traj.positions, traj.positions[:, 1:2] + 1.0], axis=1)
+        path = str(tmp_path / "decoy.json")
+        save_trajectory(path, JointTrajectory(decoy, None, traj.fps), names + ["LegL"])
+        assert run("fit", "--rig", STAR, "--traj", path, "--out", str(tmp_path / "o.bvh")) == 2
+        assert "joint_names repeat: LegL" in caplog.text
+
+    def test_repeated_rig_name_exit_2(self, tmp_path, caplog):
+        rig = tmp_path / "twins.bvh"
+        rig.write_text(open(STAR).read().replace("JOINT LegR", "JOINT LegL"))
+        _, js = synth_pair(tmp_path, rig=STAR, frames=2)
+        assert run("fit", "--rig", str(rig), "--traj", js, "--out", str(tmp_path / "o.bvh")) == 2
+        assert "repeated joint names: LegL" in caplog.text
+
     @pytest.mark.parametrize("name_map", [{"Hips": ["x"]}, ["Hips"], {"Hips": 3}])
     def test_bad_map_exit_2(self, tmp_path, name_map):
         _, js = synth_pair(tmp_path, frames=2)

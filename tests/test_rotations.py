@@ -209,6 +209,69 @@ class TestOrthogonalProcrustes:
         np.testing.assert_allclose(R, np.eye(3))
 
 
+class TestStackedAlignment:
+    def vector_pairs(self, rng):
+        """Generic pairs plus parallel, antiparallel and nearly parallel rows."""
+        a = rng.normal(size=(40, 3))
+        b = rng.normal(size=(40, 3))
+        b[0:4] = a[0:4] * rng.uniform(0.5, 2.0, size=(4, 1))  # parallel
+        b[4:8] = -a[4:8] * rng.uniform(0.5, 2.0, size=(4, 1))  # antiparallel
+        a[8], b[8] = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]
+        b[9] = a[9] + 1e-13
+        return a, b
+
+    def test_rotation_between_vectors_rows(self, rng):
+        a, b = self.vector_pairs(rng)
+        R = rotation_between_vectors(a, b)
+        assert R.shape == (40, 3, 3)
+        for k in range(40):
+            np.testing.assert_array_equal(R[k], rotation_between_vectors(a[k], b[k]))
+        u = a[4:9] / np.linalg.norm(a[4:9], axis=1, keepdims=True)  # antiparallel rows
+        np.testing.assert_allclose((R[4:9] @ u[:, :, None])[:, :, 0], -u, atol=1e-12)
+        np.testing.assert_array_equal(R[0:4], np.broadcast_to(np.eye(3), (4, 3, 3)))
+        stacked = rotation_between_vectors(a.reshape(4, 10, 3), b.reshape(4, 10, 3))
+        np.testing.assert_array_equal(stacked.reshape(40, 3, 3), R)
+
+    def test_orthogonal_procrustes_rows(self, rng):
+        R_true = random_rotation(rng)
+        rest = rng.normal(size=(7, 3, 3))
+        obs = rest @ R_true.T
+        w = np.ones((7, 3))
+        rest[1] = [[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0]]  # zero covariance
+        obs[1] = [[0, 1.0, 0], [0, 1.0, 0], [0, 0, 0]]
+        w[1, 2] = 0.0
+        obs[2] = rest[2] * [[-1.0], [1.0], [1.0]]  # a reflection of the rest set
+        w[3] = [0.0, 2.5, 0.0]  # one positive weight: minimal rotation of that pair
+        w[4] = [0.0, 0.0, 1.0]
+        obs[4, 2] = -rest[4, 2]  # ... antiparallel
+        w[5] = 0.0  # no positive weight: identity
+        w[6] = [0.5, 1.0, 3.0]
+        R, degenerate = orthogonal_procrustes(rest, obs, w)
+        assert R.shape == (7, 3, 3) and degenerate.tolist() == [0, 1, 0, 0, 0, 0, 0]
+        for k in range(7):
+            R_k, degenerate_k = orthogonal_procrustes(rest[k], obs[k], w[k])
+            np.testing.assert_array_equal(R[k], R_k)
+            assert degenerate_k == degenerate[k]
+        np.testing.assert_allclose(R[[0, 6]], [R_true, R_true], atol=1e-9)
+        np.testing.assert_array_equal(R[1], np.eye(3))
+        assert is_rotation_matrix(R[2]) and np.linalg.det(R[2]) > 0.0
+        np.testing.assert_array_equal(R[3], rotation_between_vectors(rest[3, 1], obs[3, 1]))
+        np.testing.assert_allclose(R[4] @ rest[4, 2], obs[4, 2], atol=1e-12)
+        np.testing.assert_array_equal(R[5], np.eye(3))
+
+    def test_orthogonal_procrustes_broadcasts_rest(self, rng):
+        rest = rng.normal(size=(4, 3))
+        obs = rng.normal(size=(5, 4, 3))
+        R, _ = orthogonal_procrustes(rest, obs)
+        for k in range(5):
+            np.testing.assert_array_equal(R[k], orthogonal_procrustes(rest, obs[k])[0])
+
+    @pytest.mark.parametrize("weights", [[1.0, -1.0], [1.0, np.nan], [1.0, 1.0, 1.0]])
+    def test_orthogonal_procrustes_rejects_bad_weights(self, weights):
+        with pytest.raises(ValidationError):
+            orthogonal_procrustes(np.eye(3)[:2], np.eye(3)[:2], weights)
+
+
 class TestEuler:
     def test_zero_angles_identity_all_orders(self):
         for order in EULER_ORDERS:

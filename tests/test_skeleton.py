@@ -43,6 +43,11 @@ class TestValidateSkeleton:
         with pytest.raises(SkeletonError):
             validate_skeleton(["a", "b"], [-1, 5], np.zeros((2, 3)))
 
+    def test_repeated_names_error(self):
+        with pytest.raises(SkeletonError) as e:
+            validate_skeleton(["a", "b", "a"], [-1, 0, 1], np.ones((3, 3)))
+        assert "repeated joint names: a" in e.value.violations
+
     def test_length_mismatch(self):
         with pytest.raises(SkeletonError):
             validate_skeleton(["a"], [-1, 0], np.zeros((2, 3)))

@@ -75,6 +75,12 @@ class TestSchemaErrors:
         with pytest.raises(TrajectoryFormatError):
             trajectory_from_dict(data)
 
+    def test_repeated_names(self, rng):
+        data = self.base(rng)
+        data["joint_names"] = ["a", "b", "a", "b"]
+        with pytest.raises(TrajectoryFormatError, match="joint_names repeat: a, b"):
+            trajectory_from_dict(data)
+
     def test_ragged_frames(self, rng):
         data = self.base(rng)
         data["frames"][0] = data["frames"][0][:-1]
