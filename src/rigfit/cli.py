@@ -138,6 +138,8 @@ def cmd_fit(args):
                     "loss_prior": r["loss_prior"],
                     "loss_twist": r["loss_twist"],
                     "iters": r["iters"],
+                    "stop": r["stop"],
+                    "trials": r["trials"],
                 }
                 for r in reports
             ],

@@ -20,9 +20,12 @@ from .rotations import (
 from .skeleton import Pose, clip_from_poses, fk_positions_and_frames
 
 _DIR_EPS = 1e-9
-_STEP_UNDERFLOW = 1e-16
-_MU_INIT = 10.0  # initial damping of the refinement step
+_STEP_UNDERFLOW = 1e-16  # a damping above 1/_STEP_UNDERFLOW ends the refinement
+_TAU = 0.1  # the first damping is _TAU * max diag(H)
+_MU_FLOOR = 1e-12  # an accepted step never lowers the damping below this
 _GRAD_TOL = 1e-6  # refinement stops once max |gradient| falls below this
+
+STOP_REASONS = ("grad_tol", "max_iters", "damping_exhausted")
 
 
 @dataclass(frozen=True)
@@ -30,7 +33,9 @@ class FitConfig:
     """Loss weights and iteration budget for the refinement stage.
 
     The loss weights must be finite and nonnegative. The damping starts at
-    _MU_INIT (10) and the iteration stops once max |gradient| < _GRAD_TOL (1e-6).
+    _TAU (0.1) times the largest diagonal entry of the Gauss-Newton matrix and
+    follows the gain ratio; the iteration stops once max |gradient| <
+    _GRAD_TOL (1e-6).
     """
 
     lambda_prior: float = 1e-3
@@ -54,11 +59,16 @@ class LossTerms(NamedTuple):
 
 @dataclass(frozen=True)
 class FrameFitResult:
+    """One refined frame. stop is one of STOP_REASONS; trials counts the
+    accepted and the rejected trial steps."""
+
     pose: Pose
     final_loss: float
     iterations_used: int
     loss_terms: LossTerms
     accepted_losses: tuple
+    stop: str
+    trials: int
     diagnostics: tuple = field(default_factory=tuple)
 
 
@@ -249,14 +259,19 @@ def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None
                  root_translation=None):
     """Damped least-squares refinement from theta_init, anchored at theta_geo.
 
-    Each iteration solves (2 J^T J + mu I) delta = -g from first-derivative
-    information only; a trial step is accepted only when the total loss
-    decreases (damping relaxes), otherwise the damping grows and the step
-    shrinks. The accepted-iterate loss sequence is therefore non-increasing,
-    and the result never scores worse than the geometric initialization (the
-    better of the two is returned). theta_init and theta_geo are (N, 3)
-    rotations; root_translation (zeros by default) is the start's and the
-    geometric initialization's root translation.
+    Each iteration solves (H + mu I) delta = -g with H = 2 J^T J from
+    first-derivative information only; a trial step is accepted only when
+    the total loss decreases, otherwise the damping grows and the step
+    shrinks. The damping follows Marquardt-Nielsen's gain-ratio rule (Madsen,
+    Nielsen & Tingleff 2004, sec. 3.2): it starts at _TAU * max diag(H), an
+    accepted step scales it by max(1/3, 1 - (2 rho - 1)^3), where rho is the
+    actual over the predicted decrease, and each rejection scales it by nu,
+    which doubles per rejection in a row. The accepted-iterate loss sequence
+    is therefore non-increasing, and the result never scores worse than the
+    geometric initialization (the better of the two is returned). theta_init
+    and theta_geo are (N, 3) rotations; root_translation (zeros by default)
+    is the start's and the geometric initialization's root translation. The
+    result's stop says which of STOP_REASONS ended the iteration.
     """
     if config is None:
         config = FitConfig()
@@ -290,29 +305,40 @@ def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None
 
     terms, fk = evaluate(x)
     accepted = [terms.total]
-    mu = _MU_INIT
-    iters = 0
+    mu, nu = None, 2.0
+    iters = trials = 0
+    stop = "max_iters"
     for _ in range(config.max_iters):
         th, _ = unpack(x)
         r_pos, J_pos = _residual_jacobian(skeleton, th, target, mask, *fk, W, fit_root)
         g = _gradient(r_pos, J_pos, th, geo_rot, bone_axes, config)
         if np.max(np.abs(g)) < _GRAD_TOL:
+            stop = "grad_tol"
             break
         H = 2.0 * (J_pos.T @ J_pos) + H_const
+        if mu is None:
+            mu = _TAU * np.max(np.diag(H))  # > 0 wherever g != 0
         moved = False
         while mu < 1.0 / _STEP_UNDERFLOW:
             delta = np.linalg.solve(H + mu * eye, -g)
             x_new = x + delta
             terms_new, fk_new = evaluate(x_new)
+            trials += 1
             if terms_new.total < terms.total:
+                # the decrease the quadratic model predicts, as (H + mu I) delta = -g
+                predicted = 0.5 * (delta @ (mu * delta - g))
+                rho = (terms.total - terms_new.total) / predicted
+                mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), _MU_FLOOR)
+                nu = 2.0
                 x, terms, fk = x_new, terms_new, fk_new
                 accepted.append(terms.total)
-                mu = max(mu / 3.0, 1e-12)
                 moved = True
                 break
-            mu *= 4.0
+            mu *= nu
+            nu *= 2.0
         iters += 1
         if not moved:
+            stop = "damping_exhausted"
             break
 
     diagnostics = []
@@ -332,6 +358,8 @@ def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None
         iterations_used=iters,
         loss_terms=terms,
         accepted_losses=tuple(accepted),
+        stop=stop,
+        trials=trials,
         diagnostics=tuple(diagnostics),
     )
 
@@ -373,6 +401,8 @@ def fit_sequence(skeleton, trajectory, config=None):
                 "loss_prior": result.loss_terms.prior,
                 "loss_twist": result.loss_terms.twist,
                 "iters": result.iterations_used,
+                "stop": result.stop,
+                "trials": result.trials,
                 "accepted_losses": list(result.accepted_losses),
                 "diagnostics": root_diag + geo_diag[t] + list(result.diagnostics),
             }

@@ -89,8 +89,27 @@ class TestFit:
         assert rep["mpjpe_fk"] < 1e-3
         assert len(rep["frames"]) == 4
         for fr in rep["frames"]:
-            for key in ("loss_pos", "loss_prior", "loss_twist", "iters"):
+            for key in ("loss_pos", "loss_prior", "loss_twist", "iters", "stop", "trials"):
                 assert key in fr
+
+    def fit_report(self, tmp_path, *extra):
+        _, js = synth_pair(tmp_path, rig=STAR, frames=8, seed=1)
+        report = str(tmp_path / "report.json")
+        assert run("fit", "--rig", STAR, "--traj", js, "--out", str(tmp_path / "fit.bvh"),
+                   "--report", report, *extra) == 0
+        return json.load(open(report))["frames"]
+
+    def test_realizable_fit_reports_grad_tol(self, tmp_path):
+        frames = self.fit_report(tmp_path)
+        assert all(fr["stop"] == "grad_tol" for fr in frames)
+        assert all(fr["trials"] >= fr["iters"] for fr in frames)
+        assert max(fr["iters"] for fr in frames) > 2
+
+    def test_max_iters_report(self, tmp_path):
+        frames = self.fit_report(tmp_path, "--max-iters", "2")
+        assert all(fr["iters"] <= 2 for fr in frames)
+        cut = [fr for fr in frames if fr["iters"] == 2]
+        assert cut and all(fr["stop"] == "max_iters" for fr in cut)
 
     def test_joint_name_mismatch_exit_2(self, tmp_path, rng, capsys):
         traj_path = tmp_path / "bad.json"

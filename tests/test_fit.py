@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rigfit.fit as fit_module
 from rigfit import (
     AnimationClip,
     FitConfig,
+    JointTrajectory,
     Pose,
     ValidationError,
     fit_sequence,
@@ -16,6 +18,7 @@ from rigfit import (
     validate_skeleton,
 )
 from rigfit.fit import (
+    STOP_REASONS,
     _bone_axes,
     _constant_curvature,
     _descendant_mask,
@@ -452,6 +455,210 @@ class TestRefineFrame:
                            config=FitConfig(fit_root_translation=fit_root))
         assert res.iterations_used > 2 and calls["jacobian"] > 2
         assert calls["fk"] == calls["loss"]
+        # one loss at the start, one per trial step, one for the fallback check
+        assert calls["loss"] == res.trials + 2
+
+    def test_stop_reasons(self, rng):
+        n = 12
+        sk = random_skeleton(rng, n)
+        target = forward_kinematics(sk, Pose(rotations=rng.normal(size=(n, 3)) * 0.6))
+        geo, _ = geometric_init_frame(sk, target)
+        init = geo.rotations + rng.normal(size=(n, 3)) * 0.2
+        res = refine_frame(sk, target, init, geo.rotations)
+        assert res.stop == "grad_tol" and res.iterations_used > 2
+        assert res.trials >= res.iterations_used
+        short = refine_frame(sk, target, init, geo.rotations, config=FitConfig(max_iters=2))
+        assert short.stop == "max_iters" and short.iterations_used == 2
+
+    def test_damping_exhausted_stop(self, rng, monkeypatch):
+        # below the loss's rounding no step can decrease it, so the damping
+        # grows past its ceiling before the gradient falls under a zero tolerance
+        monkeypatch.setattr(fit_module, "_GRAD_TOL", 0.0)
+        n = 6
+        sk = random_skeleton(rng, n)
+        target = forward_kinematics(sk, Pose(rotations=rng.normal(size=(n, 3)) * 0.6))
+        geo, _ = geometric_init_frame(sk, target)
+        res = refine_frame(sk, target, geo.rotations, geo.rotations)
+        assert res.stop == "damping_exhausted"
+        assert res.trials > res.iterations_used
+
+    def test_singular_curvature_stays_finite(self, rng):
+        # with no prior and no twist weight, a chain whose leaf and its parent
+        # are masked leaves the last three joints' columns of H zero: their
+        # rotations move no valid position, so the damping alone regularizes
+        # the solve there and those rows must keep their start
+        n = 6
+        sk = validate_skeleton([f"j{i}" for i in range(n)], list(range(-1, n - 1)),
+                               np.vstack([np.zeros(3), rng.normal(size=(n - 1, 3)) * 0.3]))
+        cfg = FitConfig(lambda_prior=0.0, lambda_twist=0.0, max_iters=500)
+        positions = fk_sequence(sk, smooth_clip(rng, n, 3)).positions
+        positions = positions + 0.05 * rng.normal(size=positions.shape)
+        mask = np.ones(n, dtype=bool)
+        mask[-2:] = False
+        geo_rot, geo_root, _ = geometric_init(sk, positions, mask)
+        init = geo_rot[0] + 0.5 * rng.normal(size=(n, 3))
+        res = refine_frame(sk, positions[0], init, geo_rot[0], mask, cfg, geo_root[0])
+        assert res.stop in STOP_REASONS and res.iterations_used > 2 and not res.diagnostics
+        assert np.all(np.isfinite(res.pose.rotations)) and np.isfinite(res.final_loss)
+        np.testing.assert_allclose(res.pose.rotations[-3:], init[-3:], rtol=0.0, atol=1e-12)
+        fitted, reports = fit_sequence(sk, JointTrajectory(positions, mask, 30.0), cfg)
+        assert np.all(np.isfinite(fitted.rotations))
+        assert all(np.isfinite(rep["loss_total"]) for rep in reports)
+
+    def test_scale_mismatch_stays_under_budget(self):
+        # a rig fitted to its own clip scaled x1.5 about the root
+        rng = np.random.default_rng(7)
+        sk = random_skeleton(rng, 24)
+        positions = fk_sequence(sk, smooth_clip(rng, 24, 4)).positions
+        positions = positions[:, :1] + 1.5 * (positions - positions[:, :1])
+        _, reports = fit_sequence(sk, JointTrajectory(positions, None, 30.0),
+                                  FitConfig(fit_root_translation=True))
+        assert all(rep["stop"] == "grad_tol" and rep["iters"] < 150 for rep in reports)
+
+
+def reference_refine_frame(sk, target, theta_init, theta_geo, mask, config, root):
+    """The fixed damping schedule that the gain-ratio rule replaced, kept as
+    its oracle: mu starts at 10, falls by 3 on an accepted step (never below
+    1e-12) and grows by 4 on a rejected one. Returns (final loss, iterations)."""
+    n = sk.joint_count
+    fit_root = config.fit_root_translation
+    axes = _bone_axes(sk)
+    params = 3 * n + (3 if fit_root else 0)
+    H_const = _constant_curvature(params, axes, config)
+
+    def unpack(x):
+        return x[: 3 * n].reshape(n, 3), (x[3 * n :] if fit_root else root)
+
+    def loss(x):
+        theta, rt = unpack(x)
+        return fit_loss(sk, theta, target, theta_geo, mask, config, rt).total
+
+    x = np.concatenate([theta_init.ravel(), root] if fit_root else [theta_init.ravel()])
+    current, mu, iters = loss(x), 10.0, 0
+    for _ in range(config.max_iters):
+        theta, rt = unpack(x)
+        r_pos, J_pos = position_rows(sk, theta, target, mask, config, rt)
+        g = _gradient(r_pos, J_pos, theta, theta_geo, axes, config)
+        if np.max(np.abs(g)) < fit_module._GRAD_TOL:
+            break
+        H = 2.0 * (J_pos.T @ J_pos) + H_const
+        moved = False
+        while mu < 1e16:
+            x_new = x + np.linalg.solve(H + mu * np.eye(params), -g)
+            new = loss(x_new)
+            if new < current:
+                x, current, mu, moved = x_new, new, max(mu / 3.0, 1e-12), True
+                break
+            mu *= 4.0
+        iters += 1
+        if not moved:
+            break
+    return current, iters
+
+
+def warm_start_frame(n, seed, bone_scale=1.0, noise=0.0, masked=0, fit_root=False):
+    """Frame 1 of a random clip, started from frame 0's geometric estimate as
+    fit_sequence starts it: (skeleton, target, init, geo, mask, config, root)."""
+    rng = np.random.default_rng(seed)
+    sk = random_skeleton(rng, n)
+    positions = fk_sequence(scaled_skeleton(sk, bone_scale), smooth_clip(rng, n, 2)).positions
+    positions = positions + rng.normal(size=(1, 1, 3)) + noise * rng.normal(size=positions.shape)
+    mask = np.ones(n, dtype=bool)
+    mask[rng.choice(np.arange(1, n), size=masked, replace=False)] = False
+    geo_rot, geo_root, _ = geometric_init(sk, positions, mask)
+    config = FitConfig(fit_root_translation=fit_root)
+    return sk, positions[1], geo_rot[0], geo_rot[1], mask, config, geo_root[1]
+
+
+class TestGainRatioDamping:
+    @pytest.mark.parametrize("frame", [
+        dict(n=60, seed=11),
+        dict(n=24, seed=12, bone_scale=1.15, noise=0.02, masked=4, fit_root=True),
+    ], ids=["realizable60", "noisy24"])
+    def test_same_minimum_as_fixed_schedule_in_fewer_iterations(self, monkeypatch, frame):
+        monkeypatch.setattr(fit_module, "_GRAD_TOL", 1e-10)
+        sk, target, init, geo, mask, config, root = warm_start_frame(**frame)
+        want, oracle_iters = reference_refine_frame(sk, target, init, geo, mask, config, root)
+        res = refine_frame(sk, target, init, geo, mask, config, root)
+        assert res.final_loss == pytest.approx(want, rel=1e-6)
+        assert res.iterations_used < oracle_iters
+
+    def test_first_damping_scales_with_curvature(self, rng, monkeypatch):
+        # the same problem with every residual scaled by 1e3 takes the same
+        # steps: the damping starts at _TAU * max diag(H), not at a constant
+        n = 8
+        sk = random_skeleton(rng, n)
+        target = forward_kinematics(sk, Pose(rotations=rng.normal(size=(n, 3)) * 0.6))
+        geo, _ = geometric_init_frame(sk, target)
+        init = geo.rotations + rng.normal(size=(n, 3)) * 0.3
+        cfg = FitConfig(lambda_prior=0.0, lambda_twist=0.0, max_iters=3)
+        steps = {}
+        for scale in (1.0, 1e3):
+            big = validate_skeleton(sk.joint_names, sk.parents, sk.offsets * scale)
+            # anchored at the start, so that no fallback replaces the last step
+            res = refine_frame(big, target * scale, init, init, config=cfg)
+            assert res.stop == "max_iters" and not res.diagnostics
+            steps[scale] = res.pose.rotations
+        np.testing.assert_allclose(steps[1e3], steps[1.0], atol=1e-8)
+
+
+@st.composite
+def fit_problems(draw):
+    """A random tree fitted to a noisy clip of bones scaled by 0.8-1.5, with
+    a random joint mask that may hide the root and a random iteration budget."""
+    n = draw(st.integers(2, 10))
+    frames = draw(st.integers(1, 3))
+    scale = draw(st.floats(0.8, 1.5))
+    noise = draw(st.floats(0.0, 0.05))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    mask[draw(st.integers(0, n - 1))] = True
+    config = FitConfig(max_iters=draw(st.integers(1, 40)),
+                       fit_root_translation=draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sk = random_skeleton(rng, n)
+    positions = fk_sequence(scaled_skeleton(sk, scale), smooth_clip(rng, n, frames)).positions
+    positions = positions + rng.normal(size=(frames, 1, 3)) + noise * rng.normal(size=positions.shape)
+    positions[:, ~mask] = np.nan  # masked positions must never be read
+    return sk, positions, mask, config, rng.normal(size=(n, 3)) * 0.5
+
+
+def assert_sound(final_loss, accepted_losses, stop, iters, geo_loss, config):
+    assert np.isfinite(final_loss) and final_loss <= geo_loss
+    assert accepted_losses[-1] == final_loss
+    assert np.all(np.diff(accepted_losses) <= 0.0)
+    assert stop in STOP_REASONS
+    assert iters <= config.max_iters
+
+
+class TestFitProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(fit_problems())
+    def test_refine_frame(self, problem):
+        sk, positions, mask, config, perturbation = problem
+        geo_rot, geo_root, _ = geometric_init(sk, positions, mask)
+        res = refine_frame(sk, positions[0], geo_rot[0] + perturbation, geo_rot[0], mask,
+                           config, geo_root[0])
+        assert np.all(np.isfinite(res.pose.rotations))
+        assert np.all(np.isfinite(res.pose.root_translation))
+        geo_loss = fit_loss(sk, geo_rot[0], positions[0], geo_rot[0], mask, config,
+                            geo_root[0]).total
+        assert_sound(res.final_loss, res.accepted_losses, res.stop, res.iterations_used,
+                     geo_loss, config)
+        assert res.trials >= res.iterations_used
+
+    @settings(max_examples=40, deadline=None)
+    @given(fit_problems())
+    def test_fit_sequence(self, problem):
+        sk, positions, mask, config, _ = problem
+        fitted, reports = fit_sequence(sk, JointTrajectory(positions, mask, 30.0), config)
+        assert np.all(np.isfinite(fitted.rotations))
+        assert np.all(np.isfinite(fitted.root_translation))
+        geo_rot, geo_root, _ = geometric_init(sk, positions, mask)
+        for t, rep in enumerate(reports):
+            geo_loss = fit_loss(sk, geo_rot[t], positions[t], geo_rot[t], mask, config,
+                                geo_root[t]).total
+            assert_sound(rep["loss_total"], rep["accepted_losses"], rep["stop"], rep["iters"],
+                         geo_loss, config)
 
 
 class TestFitSequence:
@@ -547,7 +754,8 @@ class TestFitSequence:
     def test_reports_carry_loss_terms(self, rng):
         _, _, _, reports = self.fitted_roundtrip(rng, 5, 3)
         for rep in reports:
-            for key in ("loss_total", "loss_pos", "loss_prior", "loss_twist", "iters"):
+            for key in ("loss_total", "loss_pos", "loss_prior", "loss_twist", "iters",
+                        "stop", "trials"):
                 assert key in rep
             assert rep["loss_pos"] >= 0.0
 
