@@ -109,9 +109,9 @@ class _Tokens:
             raise BvhParseError(f"expected integer, got {tok!r}", self.items[self.pos - 1][1])
 
 
-def _parse_joint(tokens, names, parents, offsets, channels, end_sites, parent):
+def _parse_joint_header(tokens, names, parents, offsets, channels, parent):
+    """Name, OFFSET and CHANNELS of the joint whose keyword was just read."""
     name = tokens.next()
-    index = len(names)
     names.append(name)
     parents.append(parent)
     tokens.expect("{")
@@ -131,24 +131,38 @@ def _parse_joint(tokens, names, parents, offsets, channels, end_sites, parent):
     if pos and (len(pos) != 3 or len(set(pos)) != 3):
         raise BvhParseError(f"joint {name!r} needs three distinct position channels or none", line)
     channels.append(chans)
+
+
+def _parse_hierarchy(tokens):
+    """The joints after ROOT in file order, read with an explicit stack of the
+    joints whose closing brace is still to come, so any depth parses.
+    Returns names, parents, offsets, channels and end sites."""
+    names, parents, offsets, channels, end_sites = [], [], [], [], {}
+    open_joints = []
     while True:
-        tok = tokens.next()
-        if tok == "JOINT":
-            _parse_joint(tokens, names, parents, offsets, channels, end_sites, index)
-        elif tok == "End":
-            tokens.expect("Site")
-            tokens.expect("{")
-            tokens.expect("OFFSET")
-            end_sites[index] = np.array(
-                [tokens.number(), tokens.number(), tokens.number()]
-            )
-            tokens.expect("}")
-        elif tok == "}":
-            return
-        else:
-            raise BvhParseError(
-                f"expected JOINT, End Site or '}}', got {tok!r}", tokens.items[tokens.pos - 1][1]
-            )
+        parent = open_joints[-1] if open_joints else -1
+        _parse_joint_header(tokens, names, parents, offsets, channels, parent)
+        open_joints.append(len(names) - 1)
+        while open_joints:
+            tok = tokens.next()
+            if tok == "JOINT":
+                break
+            if tok == "End":
+                tokens.expect("Site")
+                tokens.expect("{")
+                tokens.expect("OFFSET")
+                end_sites[open_joints[-1]] = np.array(
+                    [tokens.number(), tokens.number(), tokens.number()]
+                )
+                tokens.expect("}")
+            elif tok == "}":
+                open_joints.pop()
+            else:
+                raise BvhParseError(
+                    f"expected JOINT, End Site or '}}', got {tok!r}", tokens.items[tokens.pos - 1][1]
+                )
+        if not open_joints:
+            return names, parents, offsets, channels, end_sites
 
 
 def _rotation_order(chans):
@@ -156,12 +170,11 @@ def _rotation_order(chans):
 
 
 def parse_bvh(text):
-    """Recursive-descent parse of a BVH document."""
+    """Parse a BVH document: its hierarchy of any depth, then its motion."""
     tokens = _Tokens(text)
     tokens.expect("HIERARCHY")
     tokens.expect("ROOT")
-    names, parents, offsets, channels, end_sites = [], [], [], [], {}
-    _parse_joint(tokens, names, parents, offsets, channels, end_sites, -1)
+    names, parents, offsets, channels, end_sites = _parse_hierarchy(tokens)
     try:
         skeleton = validate_skeleton(names, parents, offsets)
     except ValidationError as exc:
@@ -192,7 +205,7 @@ def parse_bvh(text):
         rot_cols = [k for k, c in enumerate(chans) if c in _ROTATION_CHANNELS]
         angles = np.deg2rad(block[:, rot_cols])
         rotations[:, j] = matrix_to_axis_angle(euler_to_matrix(angles, _rotation_order(chans)))
-        if _POSITION_CHANNELS[0] in chans:  # then all three, as _parse_joint checked
+        if _POSITION_CHANNELS[0] in chans:  # then all three, as _parse_joint_header checked
             translation = block[:, [chans.index(c) for c in _POSITION_CHANNELS]]
             if j == 0:
                 root_translation = translation
@@ -242,28 +255,32 @@ def write_bvh(document):
         raise ValidationError("clip joint count does not match skeleton")
     children = skel.children()
     lines = ["HIERARCHY"]
-
-    def emit(j, depth):
+    # depth-first with an explicit stack, so any depth writes: a joint's
+    # header, its children's blocks, then its End Site and closing brace
+    stack = [(0, 0, False)]
+    while stack:
+        j, depth, close = stack.pop()
         indent = "  " * depth
+        inner = "  " * (depth + 1)
+        if close:
+            if j in document.end_sites:
+                ex, ey, ez = document.end_sites[j]
+                lines.append(f"{inner}End Site")
+                lines.append(f"{inner}{{")
+                lines.append(f"{inner}  OFFSET {_fmt(ex)} {_fmt(ey)} {_fmt(ez)}")
+                lines.append(f"{inner}}}")
+            lines.append(f"{indent}}}")
+            continue
         keyword = "ROOT" if skel.parents[j] < 0 else "JOINT"
         lines.append(f"{indent}{keyword} {skel.joint_names[j]}")
         lines.append(f"{indent}{{")
-        inner = "  " * (depth + 1)
         ox, oy, oz = skel.offsets[j]
         lines.append(f"{inner}OFFSET {_fmt(ox)} {_fmt(oy)} {_fmt(oz)}")
         chans = document.channel_layout[j]
         lines.append(f"{inner}CHANNELS {len(chans)} " + " ".join(chans))
-        for c in children[j]:
-            emit(c, depth + 1)
-        if j in document.end_sites:
-            ex, ey, ez = document.end_sites[j]
-            lines.append(f"{inner}End Site")
-            lines.append(f"{inner}{{")
-            lines.append(f"{inner}  OFFSET {_fmt(ex)} {_fmt(ey)} {_fmt(ez)}")
-            lines.append(f"{inner}}}")
-        lines.append(f"{indent}}}")
+        stack.append((j, depth, True))
+        stack.extend((c, depth + 1, False) for c in reversed(children[j]))
 
-    emit(0, 0)
     lines.append("MOTION")
     lines.append(f"Frames: {clip.frame_count}")
     lines.append(f"Frame Time: {_fmt(document.frame_time)}")

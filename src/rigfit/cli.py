@@ -16,7 +16,7 @@ import numpy as np
 
 from .bvh import parse_bvh, write_bvh
 from .errors import ValidationError
-from .fit import FitConfig, fit_sequence
+from .fit import STOP_REASONS, FitConfig, fit_sequence
 from .metrics import cd_skeleton_sequence, mpjpe, mpjve
 from .normalize import remove_global_translation, sequence_normalize
 from .skeleton import AnimationClip, JointTrajectory, fk_sequence
@@ -89,6 +89,22 @@ def _valid_bones(traj, parents):
     return traj.positions[:, mask], parents
 
 
+def _warn_early_stops(reports, shown=5):
+    """One warning line counting, per stop reason, the frames whose refinement
+    ended before the gradient test passed, with the first few frame indices."""
+    early = {reason: [t for t, r in enumerate(reports) if r["stop"] == reason]
+             for reason in STOP_REASONS if reason != "grad_tol"}
+    parts = [
+        f"{reason} {len(frames)} (frames {', '.join(map(str, frames[:shown]))}"
+        f"{', ...' if len(frames) > shown else ''})"
+        for reason, frames in early.items() if frames
+    ]
+    if parts:
+        stopped = sum(map(len, early.values()))
+        log.warning("refinement stopped early in %d of %d frames: %s",
+                    stopped, len(reports), "; ".join(parts))
+
+
 def cmd_fit(args):
     doc = parse_bvh(_read_text(args.rig))
     traj, names = load_trajectory(args.traj)
@@ -126,6 +142,7 @@ def cmd_fit(args):
         fit_root_translation=args.fit_root_translation,
     )
     clip, reports = fit_sequence(doc.skeleton, reordered, config)
+    _warn_early_stops(reports)
     _write_clip(doc, clip, args.out)
     fk = dataclasses.replace(fk_sequence(doc.skeleton, clip), mask=reordered.mask)
     mpjpe_fk = mpjpe(fk, reordered)

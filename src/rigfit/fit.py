@@ -78,17 +78,32 @@ def _bone_axes(skeleton):
     return skeleton.offsets / lengths[:, None]
 
 
+def _solve_levels(skeleton):
+    """Per tree depth from the root down, the joints that have children, (L,),
+    and those children in ascending order, (L, K), padded with -1."""
+    for level in skeleton.levels:  # the children of the joints one level up
+        groups = {}
+        for c, p in zip(np.atleast_1d(level.joints).tolist(),
+                        np.atleast_1d(level.parents).tolist()):
+            groups.setdefault(p, []).append(c)
+        width = max(map(len, groups.values()))
+        yield (np.array(list(groups)),
+               np.array([kids + [-1] * (width - len(kids)) for kids in groups.values()]))
+
+
 def geometric_init(skeleton, targets, mask=None):
     """Closed-form IK estimate of every frame by aligning bone directions.
 
-    One parent-first pass over the joints, each joint solved for all T frames
-    of the (T, N, 3) targets at once: a weighted orthogonal Procrustes fit of
-    its rest child bones onto the observed ones, which for a single weighted
-    child is the minimal rotation. A child weighs 0 when it is masked, its
-    rest bone has zero length or its observed bone is degenerate in that
-    frame; a masked joint weighs all its children 0 and keeps identity, as do
-    leaves. Returns rotations (T, N, 3), root translations (T, 3) and, per
-    frame, a list of diagnostic strings for degenerate joints.
+    One pass down the tree by depth, each depth solved for all its joints
+    and all T frames of the (T, N, 3) targets at once: a weighted orthogonal
+    Procrustes fit of each joint's rest child bones onto the observed ones,
+    which for a single weighted child is the minimal rotation. A child weighs
+    0 when it is masked, its rest bone has zero length or its observed bone
+    is degenerate in that frame, and so does the padding of joints with
+    fewer children than others of their depth; a masked joint weighs all its
+    children 0 and keeps identity, as do leaves. Returns rotations (T, N, 3),
+    root translations (T, 3) and, per frame, a list of diagnostic strings for
+    degenerate joints, in joint order.
     """
     n = skeleton.joint_count
     targets = np.asarray(targets, dtype=float)
@@ -104,31 +119,35 @@ def geometric_init(skeleton, targets, mask=None):
     rest = _bone_axes(skeleton)
     usable = mask & ~skeleton.zero_offset
     local = np.tile(np.eye(3), (frames, n, 1, 1))
-    G = np.empty((frames, n, 3, 3))
-    diagnostics = [[] for _ in range(frames)]
-    for i, kids in enumerate(skeleton.children()):
-        if not kids:
-            continue  # a leaf aligns no bone and is no joint's parent
-        p = skeleton.parents[i]
-        Gp = np.eye(3) if p < 0 else G[:, p]
-        valid = usable[kids] & mask[i]
-        obs = targets[:, kids] - targets[:, i, None]
+    G = np.empty((frames, n + 1, 3, 3))  # world rotations; the root's parent is column -1
+    G[:, n] = np.eye(3)
+    notes = {}  # joint -> [(frame, or None for every frame, note)], in joint order later
+    for joints, kids in _solve_levels(skeleton):
+        Gp = G[:, skeleton.parents[joints]]
+        valid = (kids >= 0) & usable[kids] & mask[joints, None]
+        obs = targets[:, kids] - targets[:, joints, None]
         obs_len = _norm(obs)
         short = valid & (obs_len < _DIR_EPS)
         weights = valid & ~short
         obs_dirs = obs / np.where(weights, obs_len, np.inf)[..., None]
         # observed directions in the parent's frame: Gp^T v, as row vectors
         R, degenerate = orthogonal_procrustes(rest[kids], obs_dirs @ Gp, weights)
-        for t, k in zip(*np.nonzero(short)):
-            diagnostics[t].append(
-                f"joint {names[i]}: observed bone to {names[kids[k]]} is degenerate")
-        if not mask[i]:
-            for notes in diagnostics:
-                notes.append(f"joint {names[i]}: masked out, identity kept")
-        for t in np.flatnonzero(degenerate):
-            diagnostics[t].append(f"joint {names[i]}: zero Procrustes covariance")
-        local[:, i] = R
-        G[:, i] = Gp @ R
+        local[:, joints] = R
+        G[:, joints] = Gp @ R
+        for t, j, k in zip(*np.nonzero(short)):
+            notes.setdefault(joints[j], []).append(
+                (t, f"joint {names[joints[j]]}: observed bone to {names[kids[j, k]]} is degenerate"))
+        for j in np.flatnonzero(~mask[joints]):
+            notes.setdefault(joints[j], []).append(
+                (None, f"joint {names[joints[j]]}: masked out, identity kept"))
+        for t, j in zip(*np.nonzero(degenerate)):
+            notes.setdefault(joints[j], []).append(
+                (t, f"joint {names[joints[j]]}: zero Procrustes covariance"))
+    diagnostics = [[] for _ in range(frames)]
+    for joint in sorted(notes):
+        for t, note in notes[joint]:
+            for frame_notes in diagnostics if t is None else [diagnostics[t]]:
+                frame_notes.append(note)
     rotations = canonicalize_axis_angle(matrix_to_axis_angle(local))
     roots = targets[:, 0] if mask[0] else np.zeros((frames, 3))
     return rotations, roots, diagnostics
@@ -195,10 +214,9 @@ def _descendant_mask(skeleton, mask):
     """W[i, k] = 1 where joint k is a mask-valid strict descendant of joint i."""
     n = skeleton.joint_count
     W = np.zeros((n, n))
-    for k in range(1, n):  # parents come first: column k extends its parent's
-        p = skeleton.parents[k]
-        W[:, k] = W[:, p]
-        W[p, k] = 1.0
+    for joints, parents in skeleton.levels:  # a level's columns extend its parents'
+        W[:, joints] = W[:, parents]
+        W[parents, joints] = 1.0
     return W * mask[None, :]
 
 

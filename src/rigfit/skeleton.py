@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -9,6 +11,33 @@ from .errors import SkeletonError, ValidationError
 from .rotations import batch_axis_angle_to_matrix, canonicalize_axis_angle
 
 _ZERO_OFFSET_EPS = 1e-12
+
+
+class Level(NamedTuple):
+    """The joints at one tree depth d >= 1, ascending, and their parents (at
+    depth d - 1). A level of one joint holds two plain ints."""
+
+    joints: object
+    parents: object
+
+
+class _FkPlan(NamedTuple):
+    """The levels laid out for forward kinematics: the joints sit in rows
+    sorted by depth, root first, so the joints of a level fill one run of
+    rows (one int row for a single joint) and are read and written as views.
+    Their parents' rows are gathered with take."""
+
+    joints: np.ndarray  # (N,) the joint in each row
+    rows: np.ndarray  # (N,) the row of each joint
+    steps: tuple  # per level, (its rows as an int or a slice, its parents' rows)
+    bone_parents: np.ndarray  # (N - 1,) the parent row of rows 1..N-1
+    bones: np.ndarray  # (N - 1, 3, 1) the rest offsets of rows 1..N-1, as columns
+
+
+def _readonly(value):
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    return value
 
 
 @dataclass(frozen=True)
@@ -47,6 +76,41 @@ class Skeleton:
         flags = lengths < _ZERO_OFFSET_EPS
         flags[0] = True  # the root carries no bone
         return flags
+
+    @cached_property
+    def levels(self):
+        """The tree by depth, root excluded: one Level per depth d >= 1 in
+        order of depth, joints ascending within a level. Derived once and
+        read-only."""
+        depth = [0] * self.joint_count
+        for i in range(1, self.joint_count):
+            depth[i] = depth[self.parents[i]] + 1
+        depth = np.array(depth)
+        levels = []
+        for d in range(1, depth.max() + 1):
+            joints = np.flatnonzero(depth == d)
+            parents = self.parents[joints]
+            if len(joints) == 1:
+                levels.append(Level(int(joints[0]), int(parents[0])))
+            else:
+                levels.append(Level(_readonly(joints), _readonly(parents)))
+        return tuple(levels)
+
+    @cached_property
+    def _fk_plan(self):
+        joints = np.concatenate([[0]] + [np.atleast_1d(lv.joints) for lv in self.levels])
+        rows = np.argsort(joints)
+        steps, start = [], 1
+        for level in self.levels:
+            parents = rows[level.parents]
+            if isinstance(level.joints, int):
+                steps.append((start, int(parents)))
+            else:
+                steps.append((slice(start, start + len(parents)), _readonly(parents)))
+            start += np.size(level.joints)
+        return _FkPlan(_readonly(joints), _readonly(rows), tuple(steps),
+                       _readonly(rows[self.parents[joints[1:]]]),
+                       _readonly(self.offsets[joints[1:], :, None]))
 
     def children(self):
         """List of child-index lists, canonical order."""
@@ -271,21 +335,28 @@ def forward_kinematics(skeleton, pose):
 def fk_positions_and_frames(skeleton, rotations, root_translation):
     """FK over any leading frame axes: rotations (..., N, 3) and root
     translations (..., 3) give positions (..., N, 3) and accumulated world
-    rotations (..., N, 3, 3)."""
+    rotations (..., N, 3, 3).
+
+    The tree is walked by depth, every joint of one depth at once, as in
+    SMPL's batch_rigid_transform (Loper et al. 2015): G_i = G_parent R_i, then
+    P_i = P_parent + G_parent offset_i. Each value is computed as a per-joint
+    walk computes it, bit for bit.
+    """
     rotations = np.asarray(rotations, dtype=float)
     n = skeleton.joint_count
     if rotations.shape[-2:] != (n, 3):
         raise ValidationError("rotation count does not match skeleton")
+    plan = skeleton._fk_plan  # rows by depth: each level's joints side by side
+    G = batch_axis_angle_to_matrix(rotations.take(plan.joints, -2))  # made world in place
+    for rows, parents in plan.steps:
+        G[..., rows, :, :] = G.take(parents, -3) @ G[..., rows, :, :]
+    # each bone in world axes, then summed down the tree onto the root position
     P = np.empty(rotations.shape[:-2] + (n, 3))
-    parents = skeleton.parents
-    offsets = skeleton.offsets
-    G = batch_axis_angle_to_matrix(rotations)  # local rotations, made world in place
     P[..., 0, :] = root_translation
-    for i in range(1, n):
-        p = parents[i]
-        P[..., i, :] = P[..., p, :] + G[..., p, :, :] @ offsets[i]
-        G[..., i, :, :] = G[..., p, :, :] @ G[..., i, :, :]
-    return P, G
+    P[..., 1:, :] = (G.take(plan.bone_parents, -3) @ plan.bones)[..., 0]
+    for rows, parents in plan.steps:
+        P[..., rows, :] += P.take(parents, -2)
+    return P.take(plan.rows, -2), G.take(plan.rows, -3)
 
 
 def fk_sequence(skeleton, clip):

@@ -187,3 +187,17 @@ class TestWrite:
         clip = AnimationClip(np.zeros((1, 3, 3)), np.zeros((1, 3)), fps=24.0)
         with pytest.raises(Exception):
             document_from_clip(sk, clip)
+
+    def test_deep_chain_round_trips_byte_for_byte(self, rng):
+        # far deeper than Python's recursion limit: parse and write keep their
+        # own stacks, and the motion of every joint survives
+        n = 2000
+        sk = validate_skeleton([f"j{i}" for i in range(n)], [-1] + list(range(n - 1)),
+                               rng.normal(size=(n, 3)))
+        clip = AnimationClip(rng.uniform(-0.5, 0.5, size=(2, n, 3)), rng.normal(size=(2, 3)),
+                             fps=30.0)
+        text = write_bvh(document_from_clip(sk, clip, end_sites={n - 1: np.ones(3)}))
+        doc = parse_bvh(text)
+        assert doc.skeleton.joint_count == n and list(doc.skeleton.parents[1:]) == list(range(n - 1))
+        assert sorted(doc.end_sites) == [n - 1]
+        assert write_bvh(doc) == text

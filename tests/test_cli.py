@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, and determinism."""
 
 import json
+import logging
 import os
 
 import numpy as np
@@ -110,6 +111,23 @@ class TestFit:
         assert all(fr["iters"] <= 2 for fr in frames)
         cut = [fr for fr in frames if fr["iters"] == 2]
         assert cut and all(fr["stop"] == "max_iters" for fr in cut)
+
+    def test_early_stop_warns_once(self, tmp_path, caplog):
+        with caplog.at_level("WARNING", logger="rigfit"):
+            frames = self.fit_report(tmp_path, "--max-iters", "2")
+        cut = [t for t, fr in enumerate(frames) if fr["stop"] == "max_iters"]
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(cut) > 5 and len(warnings) == 1
+        assert warnings[0] == (
+            f"refinement stopped early in {len(cut)} of {len(frames)} frames: "
+            f"max_iters {len(cut)} (frames {', '.join(map(str, cut[:5]))}, ...)"
+        )
+
+    def test_converged_fit_does_not_warn(self, tmp_path, caplog):
+        with caplog.at_level("WARNING", logger="rigfit"):
+            frames = self.fit_report(tmp_path)
+        assert all(fr["stop"] == "grad_tol" for fr in frames)
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
     def test_joint_name_mismatch_exit_2(self, tmp_path, rng, capsys):
         traj_path = tmp_path / "bad.json"

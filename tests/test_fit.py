@@ -111,10 +111,18 @@ class TestGeometricInit:
 @st.composite
 def init_problems(draw):
     """A random tree with zero-length bones, a joint mask and T frames of
-    targets in which some children coincide with their parents."""
-    n = draw(st.integers(1, 10))
+    targets in which some children coincide with their parents. Its joints
+    have at most 1 to 4 children, or any number, so that one depth mixes
+    joints of different child counts, solved in one padded stack."""
+    n = draw(st.integers(1, 14))
     frames = draw(st.integers(1, 5))
-    parents = [-1] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    branch = draw(st.sampled_from([1, 2, 3, 4, n]))
+    parents, child_counts = [-1], [0]
+    for i in range(1, n):
+        p = draw(st.sampled_from([j for j in range(i) if child_counts[j] < branch]))
+        parents.append(p)
+        child_counts[p] += 1
+        child_counts.append(0)
     zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     coincide = np.array(draw(st.lists(st.booleans(), min_size=frames * n,
@@ -181,6 +189,30 @@ class TestGeometricInitStack:
             np.testing.assert_allclose(batch_axis_angle_to_matrix(rotations[t]), local,
                                        rtol=0.0, atol=1e-9)
             assert reference_notes == diagnostics[t]
+
+    def test_level_of_one_to_four_children(self):
+        # depth 1 holds joints with 1, 2, 3 and 4 children and a leaf, solved
+        # in one padded stack; one of them is masked, one has a zero-length
+        # child and one a degenerate observed bone in frame 1
+        parents = [-1, 0, 1, 0, 3, 3, 0, 6, 6, 6, 0, 10, 10, 10, 10, 0]  # depth-first
+        rng = np.random.default_rng(11)
+        offsets = rng.normal(size=(16, 3))
+        offsets[4] = 0.0
+        sk = validate_skeleton([f"j{i}" for i in range(16)], parents, offsets)
+        assert [len(sk.children()[j]) for j in sk.levels[0].joints] == [1, 2, 3, 4, 0]
+        targets, _ = fk_positions_and_frames(sk, rng.normal(size=(3, 16, 3)), np.zeros((3, 3)))
+        targets[1, 12] = targets[1, 10]
+        mask = np.ones(16, dtype=bool)
+        mask[6] = False
+        targets[:, 6] = np.nan
+        rotations, _, diagnostics = geometric_init(sk, targets, mask)
+        assert diagnostics[1] == ["joint j6: masked out, identity kept",
+                                  "joint j10: observed bone to j12 is degenerate"]
+        for t, target in enumerate(targets):
+            local, notes = reference_init_frame(sk, target, mask)
+            assert notes == diagnostics[t]
+            np.testing.assert_allclose(batch_axis_angle_to_matrix(rotations[t]), local,
+                                       rtol=0.0, atol=1e-9)
 
     def test_degenerate_bone_flagged_only_in_its_frame(self):
         sk = validate_skeleton(["a", "b"], [-1, 0], [[0, 0, 0], [1.0, 0, 0]])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigfit import (
     AnimationClip,
@@ -14,7 +16,9 @@ from rigfit import (
     rest_pose_positions,
     validate_skeleton,
 )
-from rigfit.skeleton import identity_pose
+from rigfit.fit import _descendant_mask
+from rigfit.rotations import batch_axis_angle_to_matrix
+from rigfit.skeleton import Skeleton, fk_positions_and_frames, identity_pose
 from tests.conftest import random_skeleton, smooth_clip
 
 
@@ -98,6 +102,100 @@ class TestForwardKinematics:
         sk = simple_chain(3)
         with pytest.raises(ValidationError):
             forward_kinematics(sk, Pose(rotations=np.zeros((2, 3))))
+
+
+def reference_fk(skeleton, rotations, root_translation):
+    """The per-joint walk that FK by tree level replaced, kept as its oracle."""
+    rotations = np.asarray(rotations, dtype=float)
+    n = skeleton.joint_count
+    P = np.empty(rotations.shape[:-2] + (n, 3))
+    G = batch_axis_angle_to_matrix(rotations)
+    P[..., 0, :] = root_translation
+    for i in range(1, n):
+        p = skeleton.parents[i]
+        P[..., i, :] = P[..., p, :] + G[..., p, :, :] @ skeleton.offsets[i]
+        G[..., i, :, :] = G[..., p, :, :] @ G[..., i, :, :]
+    return P, G
+
+
+def reference_descendant_mask(skeleton, mask):
+    """W[i, k] = 1 for every ancestor i of each mask-valid joint k, found by
+    walking up from k."""
+    n = skeleton.joint_count
+    W = np.zeros((n, n))
+    for k in np.flatnonzero(mask):
+        i = skeleton.parents[k]
+        while i >= 0:
+            W[i, k] = 1.0
+            i = skeleton.parents[i]
+    return W
+
+
+@st.composite
+def trees(draw):
+    """A random tree, a pure chain or a star, either validated (depth-first
+    order) or built as given (any order with parents before children), and a
+    seed for its offsets and motion."""
+    n = draw(st.integers(1, 24))
+    shape = draw(st.sampled_from(["tree", "chain", "star"]))
+    if shape == "chain":
+        parents = [-1] + list(range(n - 1))
+    elif shape == "star":
+        parents = [-1] + [0] * (n - 1)
+    else:
+        parents = [-1] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    seed = draw(st.integers(0, 2**32 - 1))
+    offsets = np.random.default_rng(seed).normal(size=(n, 3))
+    names = [f"j{i}" for i in range(n)]
+    if draw(st.booleans()):
+        return validate_skeleton(names, parents, offsets), seed
+    return Skeleton(names, parents, offsets, np.arange(n)), seed
+
+
+class TestLevelOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(trees())
+    def test_each_joint_once_one_level_below_its_parent(self, tree):
+        sk, _ = tree
+        depth = {0: 0}
+        for d, (joints, parents) in enumerate(sk.levels, start=1):
+            if isinstance(joints, int):  # a single joint is held as plain ints
+                assert isinstance(parents, int)
+            joints, parents = np.atleast_1d(joints), np.atleast_1d(parents)
+            assert len(joints) > 0 and list(joints) == sorted(joints)
+            assert list(parents) == [sk.parents[j] for j in joints]
+            for j, p in zip(joints, parents):
+                assert depth[p] == d - 1 and j not in depth
+                depth[j] = d
+        assert sorted(depth) == list(range(sk.joint_count))
+
+    @settings(max_examples=150, deadline=None)
+    @given(trees(), st.sampled_from([(), (3,), (2, 4)]))
+    def test_level_fk_equals_per_joint_walk_bitwise(self, tree, lead):
+        sk, seed = tree
+        rng = np.random.default_rng([seed, 1])
+        rotations = rng.normal(size=lead + (sk.joint_count, 3)) * 2.0
+        root = rng.normal(size=lead + (3,))
+        P, G = fk_positions_and_frames(sk, rotations, root)
+        P_ref, G_ref = reference_fk(sk, rotations, root)
+        assert P.shape == P_ref.shape and G.shape == G_ref.shape
+        assert np.array_equal(P, P_ref) and np.array_equal(G, G_ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(trees(), st.data())
+    def test_descendant_mask_equals_walk_up(self, tree, data):
+        sk, _ = tree
+        n = sk.joint_count
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        assert np.array_equal(_descendant_mask(sk, mask), reference_descendant_mask(sk, mask))
+
+    def test_levels_are_read_only(self, rng):
+        sk = random_skeleton(rng, 30)
+        arrays = [a for level in sk.levels for a in level if isinstance(a, np.ndarray)]
+        assert arrays
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestFkSequence:
