@@ -8,14 +8,16 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .errors import ValidationError
 from .rotations import (
     _norm,
-    batch_axis_angle_jacobian,
     canonicalize_axis_angle,
+    left_jacobian,
     matrix_to_axis_angle,
     orthogonal_procrustes,
+    skew,
 )
 from .skeleton import Pose, clip_from_poses, fk_positions_and_frames
 
@@ -199,89 +201,140 @@ def fit_loss_gradient(
     n = skeleton.joint_count
     theta = np.asarray(theta, dtype=float).reshape(n, 3)
     theta_geo = np.asarray(theta_geo, dtype=float).reshape(n, 3)
-    mask = np.asarray(mask, dtype=bool)
     if root_translation is None:
         root_translation = np.zeros(3)
     P, G = fk_positions_and_frames(skeleton, theta, root_translation)
-    r_pos, J_pos = _residual_jacobian(
-        skeleton, theta, target, mask, P, G, _descendant_mask(skeleton, mask),
-        config.fit_root_translation,
-    )
-    return _gradient(r_pos, J_pos, theta, theta_geo, _bone_axes(skeleton), config)
+    system = _normal_system(skeleton, np.asarray(mask, dtype=bool), config)
+    return _normal_equations(system, theta, target, theta_geo, P, G)[1]
 
 
 def _descendant_mask(skeleton, mask):
     """W[i, k] = 1 where joint k is a mask-valid strict descendant of joint i."""
+    return np.where(mask[None, :], skeleton.descendants, 0.0)
+
+
+class _NormalSystem(NamedTuple):
+    """What _normal_equations reads of one frame's rig, mask and config."""
+
+    params: int  # 3N, plus 3 when the root translation is fitted
+    parents: np.ndarray  # (N - 1,) the parents of joints 1..N-1
+    mask: np.ndarray  # (N,) valid joints
+    W: np.ndarray  # _descendant_mask
+    counts: np.ndarray  # (N,) each joint's valid strict descendants
+    scale: float  # 2 / Nv, Nv the number of valid joints
+    pairs: tuple  # (i, j): i is j or an ancestor of j, so i <= j
+    diagonal: np.ndarray  # the pairs with i == j
+    scatter: tuple  # flat positions in H of each pair's block entries: transposed, as is
+    curvature: np.ndarray  # (N, 3, 3) prior and twist blocks of H
+    bone_axes: np.ndarray
+    config: FitConfig
+
+
+def _normal_system(skeleton, mask, config):
+    """The parts of _normal_equations that stay fixed through a frame's refinement."""
     n = skeleton.joint_count
-    W = np.zeros((n, n))
-    for joints, parents in skeleton.levels:  # a level's columns extend its parents'
-        W[:, joints] = W[:, parents]
-        W[parents, joints] = 1.0
-    return W * mask[None, :]
-
-
-def _residual_jacobian(skeleton, theta, target, mask, P, G, W, fit_root_translation):
-    """Position residual rows and their Jacobian at the FK result (P, G).
-
-    The position loss is exactly ||r_pos||^2, with rows scaled by sqrt(1/Nv).
-    The prior and twist rows are linear in theta; they enter the solver in
-    closed form (_gradient and _constant_curvature).
-    """
-    n = skeleton.joint_count
-    a = np.sqrt(1.0 / int(mask.sum()))
-    r_pos = (a * np.where(mask[:, None], P - target, 0.0)).ravel()
-    Gp = np.empty((n, 3, 3))
-    Gp[0] = np.eye(3)
-    Gp[1:] = G[skeleton.parents[1:]]
-    # T[i, a] = Gp_i Ja_ia Gi^T maps a local axis-angle nudge to world motion
-    T = Gp[:, None] @ batch_axis_angle_jacobian(theta) @ G.transpose(0, 2, 1)[:, None]
-    # DW[i, :, k] = a * (P_k - P_i) for mask-valid descendants k of i, else 0
-    DW = (a * W)[:, None, :] * (P.T[None, :, :] - P[:, :, None])
-    # d r_pos[3k + c] / d theta[i, a] = (T[i, a] @ DW[i, :, k])_c
-    blocks = (T.reshape(n, 9, 3) @ DW).reshape(n, 3, 3, n)
-    J_pos = np.zeros((3 * n, 3 * n + (3 if fit_root_translation else 0)))
-    J_pos[:, : 3 * n] = blocks.transpose(3, 2, 0, 1).reshape(3 * n, 3 * n)
-    if fit_root_translation:
-        J_pos[:, 3 * n :] = (a * mask[:, None, None] * np.eye(3)).reshape(3 * n, 3)
-    return r_pos, J_pos
-
-
-def _gradient(r_pos, J_pos, theta, theta_geo, bone_axes, config):
-    """Gradient of the total loss: 2 J_pos^T r_pos plus the closed-form
-    gradient of the prior and twist terms."""
-    n = theta.shape[0]
-    twist = np.einsum("ic,ic->i", theta, bone_axes)[:, None] * bone_axes
-    g = 2.0 * (J_pos.T @ r_pos)
-    g[: 3 * n] += (2.0 / n) * (
-        config.lambda_prior * (theta - theta_geo) + config.lambda_twist * twist
-    ).ravel()
-    return g
-
-
-def _constant_curvature(params, bone_axes, config):
-    """The prior and twist part of the Gauss-Newton matrix, which does not
-    depend on theta: 2 (lambda_prior/N I + lambda_twist/N blockdiag(u u^T)),
-    zero on the root translation."""
-    n = bone_axes.shape[0]
-    blocks = config.lambda_prior * np.eye(3) + config.lambda_twist * (
-        bone_axes[:, :, None] * bone_axes[:, None, :]
+    params = 3 * n + (3 if config.fit_root_translation else 0)
+    W = _descendant_mask(skeleton, mask)
+    i, j = np.nonzero(skeleton.descendants | np.eye(n, dtype=bool))
+    rows = 3 * i[:, None, None] + np.arange(3)[:, None]  # of the entries of each pair's block
+    cols = 3 * j[:, None, None] + np.arange(3)
+    u = _bone_axes(skeleton)
+    # the prior and twist residuals are linear in theta, so their part of H
+    # is constant: 2 (lambda_prior/N I + lambda_twist/N u u^T) per joint
+    curvature = (2.0 / n) * (config.lambda_prior * np.eye(3)
+                             + config.lambda_twist * u[:, :, None] * u[:, None, :])
+    return _NormalSystem(
+        params=params, parents=skeleton.parents[1:], mask=mask, W=W, counts=W.sum(axis=1),
+        scale=2.0 / int(mask.sum()), pairs=(i, j), diagonal=np.flatnonzero(i == j),
+        scatter=((cols * params + rows).ravel(), (rows * params + cols).ravel()),
+        curvature=curvature, bone_axes=u, config=config,
     )
-    diag = np.zeros((n, 3, n, 3))
-    diag[np.arange(n), :, np.arange(n), :] = (2.0 / n) * blocks
-    H = np.zeros((params, params))
-    H[: 3 * n, : 3 * n] = diag.reshape(3 * n, 3 * n)
-    return H
+
+
+def _normal_equations(system, theta, target, theta_geo, P, G):
+    """The Gauss-Newton matrix H = 2 J^T J and the gradient g = 2 J^T r of
+    the total loss at theta and its FK result (P, G), in closed form from
+    sums over subtrees; the Jacobian J is never formed.
+
+    Joint i's theta turns its subtree at the world rate Omega_i =
+    G_parent(i) J_l(theta_i) (left_jacobian), so with Q = P - P_root the
+    position rows of valid joint k against joint i, k a strict descendant, are
+    -sqrt(1/Nv) [Q_k - Q_i]_x Omega_i. For i equal to j or one of its
+    ancestors, the subtrees meet in j's, and
+        H_ij = 2/Nv Omega_i^T (C_j + [Q_i]_x [s_j]_x) Omega_j,
+        C_j = sum_k [Q_k]_x^T [Q_k - Q_j]_x,  s_j = sum_k (Q_k - Q_j),
+        g_i = 2/Nv Omega_i^T sum_k (Q_k - Q_i) x (P_k - target_k),
+    with k over j's (for g, i's) valid strict descendants; H_ji = H_ij^T and
+    the other blocks are 0. The sums come from one product with W
+    (_descendant_mask). With the root translation fitted, it moves every
+    valid joint: its blocks are 2 I against itself and 2/Nv Omega_i^T [s_i]_x
+    against joint i, and its gradient 2/Nv sum_k (P_k - target_k). The
+    constant prior and twist blocks and their gradient are added.
+    """
+    n = theta.shape[0]
+    config = system.config
+    Om = left_jacobian(theta)
+    Om[1:] = G[system.parents] @ Om[1:]
+    Omt = Om.transpose(0, 2, 1)
+    Q = P - P[0]
+    KQ = skew(Q)
+    res = np.where(system.mask[:, None], P - target, 0.0)
+    F = np.empty((n, 18))  # per joint: Q, [Q]_x^T [Q]_x, residual, Q x residual
+    F[:, :3] = Q
+    F[:, 3:12] = (KQ.transpose(0, 2, 1) @ KQ).reshape(n, 9)
+    F[:, 12:15] = res
+    F[:, 15:] = (KQ @ res[:, :, None])[..., 0]
+    S = system.W @ F  # the same, summed over each joint's valid strict descendants
+    s = S[:, :3] - system.counts[:, None] * Q
+    C = S[:, 3:12].reshape(n, 3, 3) + skew(S[:, :3]) @ KQ
+    # H_ij = L_i R_j with L_i = Omega_i^T [I, [Q_i]_x], R_j = 2/Nv [C_j; [s_j]_x] Omega_j
+    L = np.concatenate([Omt, Omt @ KQ], axis=2)
+    R = np.concatenate([C @ Om, skew(s) @ Om], axis=1)
+    R *= system.scale
+    i, j = system.pairs
+    blocks = L[i] @ R[j]
+    blocks[system.diagonal] += system.curvature
+    H = np.zeros((system.params, system.params))
+    values = blocks.ravel()
+    H.put(system.scatter[0], values)  # each block's transpose below the diagonal,
+    H.put(system.scatter[1], values)  # then the block above it, or on it as it is
+    # sum_k (Q_k - Q_i) x r_k = sum_k Q_k x r_k - Q_i x sum_k r_k
+    turn = S[:, 15:] - (KQ @ S[:, 12:15, None])[..., 0]
+    u = system.bone_axes
+    twist = np.einsum("ic,ic->i", theta, u)[:, None] * u
+    g = np.empty(system.params)
+    g[: 3 * n] = (system.scale * (Omt @ turn[..., None])[..., 0]
+                  + (2.0 / n) * (config.lambda_prior * (theta - theta_geo)
+                                 + config.lambda_twist * twist)).ravel()
+    if config.fit_root_translation:
+        H_root = -R[:, 3:].transpose(0, 2, 1).reshape(3 * n, 3)  # 2/Nv Omega_i^T [s_i]_x
+        H[: 3 * n, 3 * n :] = H_root
+        H[3 * n :, : 3 * n] = H_root.T
+        H[3 * n :, 3 * n :] = 2.0 * np.eye(3)
+        g[3 * n :] = system.scale * res.sum(axis=0)
+    return H, g
+
+
+def _damped_step(H, g, mu):
+    """The step delta of (H + mu I) delta = -g by Cholesky, or None when
+    H + mu I is not positive definite in floating point."""
+    A = H.copy()
+    A.flat[:: A.shape[0] + 1] += mu
+    # A is symmetric, so its transpose, a Fortran-ordered view, is factored in place
+    _, delta, info = dposv(A.T, -g, overwrite_a=True, overwrite_b=True)
+    return delta if info == 0 else None
 
 
 def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None,
                  root_translation=None):
     """Damped least-squares refinement from theta_init, anchored at theta_geo.
 
-    Each iteration solves (H + mu I) delta = -g with H = 2 J^T J from
-    first-derivative information only; a trial step is accepted only when
-    the total loss decreases, otherwise the damping grows and the step
-    shrinks. The damping follows Marquardt-Nielsen's gain-ratio rule (Madsen,
-    Nielsen & Tingleff 2004, sec. 3.2): it starts at _TAU * max diag(H), an
+    Each iteration solves (H + mu I) delta = -g by Cholesky, with H = 2 J^T J
+    and g built from first-derivative information only (_normal_equations);
+    a trial step is accepted only when the total loss decreases, otherwise
+    the damping grows and the step shrinks, and so it does when H + mu I
+    does not factor. The damping follows Marquardt-Nielsen's gain-ratio rule
+    (Madsen, Nielsen & Tingleff 2004, sec. 3.2): it starts at _TAU * max diag(H), an
     accepted step scales it by max(1/3, 1 - (2 rho - 1)^3), where rho is the
     actual over the predicted decrease, and each rejection scales it by nu,
     which doubles per rejection in a row. The accepted-iterate loss sequence
@@ -301,11 +354,8 @@ def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None
     root_t = np.zeros(3) if root_translation is None else np.asarray(root_translation, float)
 
     fit_root = config.fit_root_translation
-    bone_axes = _bone_axes(skeleton)
-    W = _descendant_mask(skeleton, mask)
-    params = 3 * n + (3 if fit_root else 0)
-    H_const = _constant_curvature(params, bone_axes, config)
-    eye = np.eye(params)
+    system = _normal_system(skeleton, mask, config)
+    bone_axes = system.bone_axes
 
     def unpack(x):
         if fit_root:
@@ -313,7 +363,7 @@ def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None
         return x.reshape(n, 3), root_t
 
     def evaluate(x):
-        """Loss at x and the FK result it used, kept for the next Jacobian."""
+        """Loss at x and the FK result it used, kept for the next normal equations."""
         th, rt = unpack(x)
         P, G = fk_positions_and_frames(skeleton, th, rt)
         terms = fit_loss(skeleton, th, target, geo_rot, mask, config, rt, bone_axes, P)
@@ -327,31 +377,29 @@ def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None
     iters = trials = 0
     stop = "max_iters"
     for _ in range(config.max_iters):
-        th, _ = unpack(x)
-        r_pos, J_pos = _residual_jacobian(skeleton, th, target, mask, *fk, W, fit_root)
-        g = _gradient(r_pos, J_pos, th, geo_rot, bone_axes, config)
+        H, g = _normal_equations(system, unpack(x)[0], target, geo_rot, *fk)
         if np.max(np.abs(g)) < _GRAD_TOL:
             stop = "grad_tol"
             break
-        H = 2.0 * (J_pos.T @ J_pos) + H_const
         if mu is None:
-            mu = _TAU * np.max(np.diag(H))  # > 0 wherever g != 0
+            mu = _TAU * np.max(H.diagonal())  # > 0 wherever g != 0
         moved = False
         while mu < 1.0 / _STEP_UNDERFLOW:
-            delta = np.linalg.solve(H + mu * eye, -g)
-            x_new = x + delta
-            terms_new, fk_new = evaluate(x_new)
             trials += 1
-            if terms_new.total < terms.total:
-                # the decrease the quadratic model predicts, as (H + mu I) delta = -g
-                predicted = 0.5 * (delta @ (mu * delta - g))
-                rho = (terms.total - terms_new.total) / predicted
-                mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), _MU_FLOOR)
-                nu = 2.0
-                x, terms, fk = x_new, terms_new, fk_new
-                accepted.append(terms.total)
-                moved = True
-                break
+            delta = _damped_step(H, g, mu)
+            if delta is not None:  # else H + mu I failed to factor: a rejected trial
+                x_new = x + delta
+                terms_new, fk_new = evaluate(x_new)
+                if terms_new.total < terms.total:
+                    # the decrease the quadratic model predicts, as (H + mu I) delta = -g
+                    predicted = 0.5 * (delta @ (mu * delta - g))
+                    rho = (terms.total - terms_new.total) / predicted
+                    mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), _MU_FLOOR)
+                    nu = 2.0
+                    x, terms, fk = x_new, terms_new, fk_new
+                    accepted.append(terms.total)
+                    moved = True
+                    break
             mu *= nu
             nu *= 2.0
         iters += 1

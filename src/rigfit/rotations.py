@@ -12,6 +12,7 @@ from .errors import ValidationError
 
 # series switch-over for sin(a)/a style terms
 _TINY_ANGLE = 1e-8
+_SERIES_ANGLE = 1e-2  # the left Jacobian's, where (a - sin a)/a^3 cancels
 _TINY_VECTOR = 1e-9
 
 EULER_ORDERS = ("XYZ", "XZY", "YXZ", "YZX", "ZXY", "ZYX")
@@ -244,31 +245,34 @@ def batch_axis_angle_to_matrix(thetas):
     return K
 
 
-def batch_axis_angle_jacobian(thetas):
-    """d(Rodrigues)/d(theta) for an (N, 3) stack; result (N, 3, 3, 3).
+def left_jacobian(thetas):
+    """SO(3) left Jacobian of each axis-angle vector of a (..., 3) stack;
+    result (..., 3, 3).
 
-    J[i, a] = dR_i/dtheta_a uses the closed form d R/d theta_a =
-    ((theta_a [theta]_x + [theta x ((I - R) e_a)]_x) / ||theta||^2) R,
-    with the small-angle limit [e_a]_x.
+    J_l(theta) = I + (1 - cos a)/a^2 [theta]_x + (a - sin a)/a^3 [theta]_x^2
+    with a = ||theta|| (Sola et al. 2018), summed here as
+    sin(a)/a I + (1 - cos a)/a^2 [theta]_x + (a - sin a)/a^3 theta theta^T.
+    To first order R(theta + d) = exp([J_l(theta) d]_x) R(theta), so
+    dR/dtheta_a = [J_l(theta) e_a]_x R(theta). Below a = 1e-2 the
+    coefficients are summed as series, where a - sin a cancels.
     """
     thetas = np.asarray(thetas, dtype=float)
-    a2 = np.einsum("ic,ic->i", thetas, thetas)
-    R = batch_axis_angle_to_matrix(thetas)
-    K = skew(thetas)
-    # v_a = theta_a theta + theta x ((I - R) e_a); the cross products for all
-    # three axes are the columns of K (I - R)
-    cross_cols = K @ (np.eye(3) - R)  # (n, c, a)
-    v = thetas[:, :, None] * thetas[:, None, :]  # v[i, a, c] = theta_a theta_c
-    v = v + cross_cols.transpose(0, 2, 1)
-    V = skew(v)  # skew(v_a) per axis
-    small = a2 < 1e-14
-    scale = 1.0 / np.where(small, 1.0, a2)
-    J = np.einsum("i,iacd,ide->iace", scale, V, R)
-    if np.any(small):
-        J[small] = skew(np.eye(3))
+    a2 = np.einsum("...c,...c->...", thetas, thetas)
+    a = np.sqrt(a2)
+    small = a < _SERIES_ANGLE
+    series = small.any()
+    if series:
+        a = np.where(small, 1.0, a)
+    s = np.sin(a) / a
+    h = np.sin(0.5 * a) / a
+    b = 2.0 * h * h  # (1 - cos a)/a^2 without the cancellation of 1 - cos a
+    c = (1.0 - s) / (a * a)
+    if series:
+        s = np.where(small, 1.0 - a2 / 6.0 * (1.0 - a2 / 20.0), s)
+        b = np.where(small, 0.5 - a2 / 24.0 * (1.0 - a2 / 30.0), b)
+        c = np.where(small, (1.0 - a2 / 20.0 * (1.0 - a2 / 42.0)) / 6.0, c)
+    J = skew(thetas)
+    J *= b[..., None, None]
+    J += thetas[..., :, None] * (c[..., None] * thetas)[..., None, :]
+    J.reshape(J.shape[:-2] + (9,))[..., ::4] += s[..., None]  # the diagonal
     return J
-
-
-def axis_angle_jacobian(theta):
-    """d(Rodrigues matrix)/d(theta) as a (3, 3, 3) array, J[a] = dR/dtheta_a."""
-    return batch_axis_angle_jacobian(np.asarray(theta, dtype=float)[None])[0]

@@ -97,6 +97,16 @@ class Skeleton:
         return tuple(levels)
 
     @cached_property
+    def descendants(self):
+        """(N, N) read-only flags: [i, k] is True where joint k is a strict
+        descendant of joint i. Derived once, one step per level."""
+        D = np.zeros((self.joint_count, self.joint_count), dtype=bool)
+        for joints, parents in self.levels:  # a level's columns extend its parents'
+            D[:, joints] = D[:, parents]
+            D[parents, joints] = True
+        return _readonly(D)
+
+    @cached_property
     def _fk_plan(self):
         joints = np.concatenate([[0]] + [np.atleast_1d(lv.joints) for lv in self.levels])
         rows = np.argsort(joints)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dposv
 
 import rigfit.fit as fit_module
 from rigfit import (
@@ -20,10 +21,10 @@ from rigfit import (
 from rigfit.fit import (
     STOP_REASONS,
     _bone_axes,
-    _constant_curvature,
+    _damped_step,
     _descendant_mask,
-    _gradient,
-    _residual_jacobian,
+    _normal_equations,
+    _normal_system,
     fit_loss,
     fit_loss_gradient,
     geometric_init,
@@ -38,6 +39,7 @@ from rigfit.rotations import (
     euler_to_matrix,
     orthogonal_procrustes,
     rotation_between_vectors,
+    skew,
 )
 from rigfit.skeleton import (
     fk_positions_and_frames,
@@ -326,6 +328,44 @@ class TestFitLossGradient:
             assert g[3 * n + a] == pytest.approx((lp - lm) / (2 * h), rel=1e-5, abs=1e-8)
 
 
+def reference_rotation_derivative(thetas):
+    """dR/dtheta of Rodrigues' formula for an (N, 3) stack; (N, 3, 3, 3) with
+    [i, a] = dR_i/dtheta_a = ((theta_a [theta]_x + [theta x ((I - R) e_a)]_x)
+    / ||theta||^2) R (Gallego & Yezzi 2015), first order ([e_a]_x) at zero."""
+    a2 = np.einsum("ic,ic->i", thetas, thetas)
+    R = batch_axis_angle_to_matrix(thetas)
+    # v_a = theta_a theta + theta x ((I - R) e_a); the cross products for all
+    # three axes are the columns of [theta]_x (I - R)
+    v = thetas[:, :, None] * thetas[:, None, :] + (skew(thetas) @ (np.eye(3) - R)).transpose(0, 2, 1)
+    small = a2 < 1e-14
+    J = np.einsum("i,iacd,ide->iace", 1.0 / np.where(small, 1.0, a2), skew(v), R)
+    J[small] = skew(np.eye(3))
+    return J
+
+
+def reference_residual_jacobian(sk, theta, target, mask, P, G, W, fit_root_translation):
+    """The dense position residual rows and Jacobian that the closed-form
+    normal equations replaced, kept as their oracle: rows scaled by
+    sqrt(1/Nv), so that the position loss is exactly ||r_pos||^2."""
+    n = sk.joint_count
+    a = np.sqrt(1.0 / int(mask.sum()))
+    r_pos = (a * np.where(mask[:, None], P - target, 0.0)).ravel()
+    Gp = np.empty((n, 3, 3))
+    Gp[0] = np.eye(3)
+    Gp[1:] = G[sk.parents[1:]]
+    # T[i, a] = Gp_i Ja_ia Gi^T maps a local axis-angle nudge to world motion
+    T = Gp[:, None] @ reference_rotation_derivative(theta) @ G.transpose(0, 2, 1)[:, None]
+    # DW[i, :, k] = a * (P_k - P_i) for mask-valid descendants k of i, else 0
+    DW = (a * W)[:, None, :] * (P.T[None, :, :] - P[:, :, None])
+    # d r_pos[3k + c] / d theta[i, a] = (T[i, a] @ DW[i, :, k])_c
+    blocks = (T.reshape(n, 9, 3) @ DW).reshape(n, 3, 3, n)
+    J_pos = np.zeros((3 * n, 3 * n + (3 if fit_root_translation else 0)))
+    J_pos[:, : 3 * n] = blocks.transpose(3, 2, 0, 1).reshape(3 * n, 3 * n)
+    if fit_root_translation:
+        J_pos[:, 3 * n :] = (a * mask[:, None, None] * np.eye(3)).reshape(3 * n, 3)
+    return r_pos, J_pos
+
+
 def full_residual(sk, theta, geo, cfg, r_pos, J_pos):
     """Reference stacked residual and Jacobian: position rows, then prior rows
     scaled by sqrt(lambda_prior/N), then twist rows by sqrt(lambda_twist/N)."""
@@ -345,9 +385,55 @@ def full_residual(sk, theta, geo, cfg, r_pos, J_pos):
 
 def position_rows(sk, theta, target, mask, cfg, root=None):
     P, G = fk_positions_and_frames(sk, theta, np.zeros(3) if root is None else root)
-    return _residual_jacobian(
+    return reference_residual_jacobian(
         sk, theta, target, mask, P, G, _descendant_mask(sk, mask), cfg.fit_root_translation
     )
+
+
+def normal_equations(sk, theta, target, geo, mask, cfg, root=None):
+    """_normal_equations at theta and root, from a fresh FK."""
+    P, G = fk_positions_and_frames(sk, theta, np.zeros(3) if root is None else root)
+    return _normal_equations(_normal_system(sk, mask, cfg), theta, target, geo, P, G)
+
+
+@st.composite
+def normal_problems(draw):
+    """A random tree (a chain, a star, or at most 1 to 4 children per
+    joint), a joint mask that may hide the root, root fitting on or off,
+    loss weights, and per joint a generic angle, one near pi or one of about
+    1e-3 (the left Jacobian's series branch)."""
+    n = draw(st.integers(1, 14))
+    shape = draw(st.sampled_from(["chain", "star", 1, 2, 3, 4]))
+    parents, child_counts = [-1], [0]
+    for i in range(1, n):
+        if shape == "chain":
+            p = i - 1
+        elif shape == "star":
+            p = 0
+        else:
+            p = draw(st.sampled_from([j for j in range(i) if child_counts[j] < shape]))
+        parents.append(p)
+        child_counts[p] += 1
+        child_counts.append(0)
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    mask[draw(st.integers(0, n - 1))] = True
+    kinds = np.array(draw(st.lists(st.sampled_from(["generic", "pi", "small"]),
+                                   min_size=n, max_size=n)))
+    config = FitConfig(lambda_prior=draw(st.sampled_from([0.0, 1e-3, 0.3])),
+                       lambda_twist=draw(st.sampled_from([0.0, 1e-4, 0.2])),
+                       fit_root_translation=draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sk = validate_skeleton([f"j{i}" for i in range(n)], parents, rng.normal(size=(n, 3)) * 0.3)
+    axes = rng.normal(size=(n, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.select([kinds == "pi", kinds == "small"],
+                       [np.pi - 10.0 ** rng.uniform(-9, -3, n), 1e-3 * rng.uniform(0.5, 2.0, n)],
+                       rng.uniform(0.0, 3.0, n))
+    theta = angles[:, None] * axes
+    root = rng.normal(size=3)
+    target = fk_positions_and_frames(sk, theta, root)[0] + rng.normal(size=(n, 3)) * 0.1
+    target[~mask] = np.nan  # masked positions must never be read
+    return sk, theta, target, rng.normal(size=(n, 3)) * 0.5, mask, config, root
 
 
 class TestResidualJacobian:
@@ -380,7 +466,7 @@ class TestResidualJacobian:
     @pytest.mark.parametrize("fit_root", [False, True])
     @pytest.mark.parametrize("masked", [False, True])
     def test_normal_equations_match_full_residual(self, rng, fit_root, masked):
-        # the closed-form prior/twist blocks equal the stacked rows' J^T J, J^T r
+        # the closed-form H and g equal the stacked rows' 2 J^T J and 2 J^T r
         n = 9
         sk = random_skeleton(rng, n)
         cfg = FitConfig(lambda_prior=0.3, lambda_twist=0.2, fit_root_translation=fit_root)
@@ -390,14 +476,26 @@ class TestResidualJacobian:
         mask = np.ones(n, bool)
         if masked:
             mask[[2, 5, 6]] = False
-        r_pos, J_pos = position_rows(sk, theta, target, mask, cfg, rng.normal(size=3))
+        root = rng.normal(size=3)
+        r_pos, J_pos = position_rows(sk, theta, target, mask, cfg, root)
         r, J = full_residual(sk, theta, geo, cfg, r_pos, J_pos)
         params = 3 * n + (3 if fit_root else 0)
         assert J_pos.shape == (3 * n, params)
-        g = _gradient(r_pos, J_pos, theta, geo, _bone_axes(sk), cfg)
-        H = 2.0 * (J_pos.T @ J_pos) + _constant_curvature(params, _bone_axes(sk), cfg)
+        H, g = normal_equations(sk, theta, target, geo, mask, cfg, root)
         np.testing.assert_allclose(g, 2.0 * (J.T @ r), rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(H, 2.0 * (J.T @ J), rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(normal_problems())
+    def test_closed_form_equals_dense_reference(self, problem):
+        # within 1e-12 of the largest entry (or of 1): the subtree sums are
+        # taken about the root, which costs digits on deep chains far from it
+        sk, theta, target, geo, mask, cfg, root = problem
+        r, J = full_residual(sk, theta, geo, cfg, *position_rows(sk, theta, target, mask, cfg, root))
+        H, g = normal_equations(sk, theta, target, geo, mask, cfg, root)
+        for got, want in ((g, 2.0 * (J.T @ r)), (H, 2.0 * (J.T @ J))):
+            np.testing.assert_allclose(got, want, rtol=0.0,
+                                       atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
 class TestRefineFrame:
@@ -462,10 +560,10 @@ class TestRefineFrame:
     @pytest.mark.parametrize("fit_root", [False, True])
     def test_one_fk_per_loss_evaluation(self, rng, monkeypatch, fit_root):
         # each trial point runs FK once; an accepted step's FK feeds the next
-        # Jacobian, so no Jacobian runs FK of its own
+        # normal equations, so they run no FK of their own
         import rigfit.fit as fit_module
 
-        calls = {"fk": 0, "loss": 0, "jacobian": 0}
+        calls = {"fk": 0, "loss": 0, "normal": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -476,8 +574,8 @@ class TestRefineFrame:
         monkeypatch.setattr(fit_module, "fk_positions_and_frames",
                             counted("fk", fit_module.fk_positions_and_frames))
         monkeypatch.setattr(fit_module, "fit_loss", counted("loss", fit_module.fit_loss))
-        monkeypatch.setattr(fit_module, "_residual_jacobian",
-                            counted("jacobian", fit_module._residual_jacobian))
+        monkeypatch.setattr(fit_module, "_normal_equations",
+                            counted("normal", fit_module._normal_equations))
         n = 12
         sk = random_skeleton(rng, n)
         target = forward_kinematics(sk, Pose(rotations=rng.normal(size=(n, 3)) * 0.6))
@@ -485,7 +583,7 @@ class TestRefineFrame:
         init = geo.rotations + rng.normal(size=(n, 3)) * 0.2
         res = refine_frame(sk, target, init, geo.rotations,
                            config=FitConfig(fit_root_translation=fit_root))
-        assert res.iterations_used > 2 and calls["jacobian"] > 2
+        assert res.iterations_used > 2 and calls["normal"] > 2
         assert calls["fk"] == calls["loss"]
         # one loss at the start, one per trial step, one for the fallback check
         assert calls["loss"] == res.trials + 2
@@ -537,6 +635,36 @@ class TestRefineFrame:
         assert np.all(np.isfinite(fitted.rotations))
         assert all(np.isfinite(rep["loss_total"]) for rep in reports)
 
+    def test_unfactorable_damped_matrix_is_a_rejected_trial(self, monkeypatch):
+        # a rank-deficient H with mu below its rounding: 1 + mu == 1 leaves
+        # the second pivot of [[1, 1], [1, 1]] + mu I at exactly 0
+        H, g = np.ones((2, 2)), np.array([1.0, -1.0])
+        assert _damped_step(H, g, 1e-20) is None
+        np.testing.assert_allclose(_damped_step(H, g, 0.5),
+                                   np.linalg.solve(H + 0.5 * np.eye(2), -g), rtol=1e-14)
+        # in a fit: a zero-length bone puts joints a and b at one point, so
+        # their columns of H are equal, and the first damping lies far below
+        # H's rounding; those trials are rejected and the damping grows
+        infos = []
+
+        def recording(*args, **kwargs):
+            out = dposv(*args, **kwargs)
+            infos.append(out[2])
+            return out
+
+        monkeypatch.setattr(fit_module, "dposv", recording)
+        monkeypatch.setattr(fit_module, "_TAU", 1e-20)
+        sk = validate_skeleton(["a", "b", "c"], [-1, 0, 1], [[0, 0, 0], [0, 0, 0], [1.0, 0, 0]])
+        mask = np.array([True, False, True])
+        target = np.array([[0.0, 0.0, 0.0], [np.nan] * 3, [0.0, 1.0, 0.0]])
+        cfg = FitConfig(lambda_prior=0.0, lambda_twist=0.0)
+        res = refine_frame(sk, target, np.zeros((3, 3)), np.zeros((3, 3)), mask, cfg)
+        assert infos[0] > 0 and infos[-1] == 0
+        assert res.trials == len(infos) > res.iterations_used
+        assert res.stop == "grad_tol" and res.final_loss < 1e-12 and not res.diagnostics
+        assert np.all(np.isfinite(res.pose.rotations))
+        assert np.all(np.diff(res.accepted_losses) <= 0.0)
+
     def test_scale_mismatch_stays_under_budget(self):
         # a rig fitted to its own clip scaled x1.5 about the root
         rng = np.random.default_rng(7)
@@ -549,14 +677,13 @@ class TestRefineFrame:
 
 
 def reference_refine_frame(sk, target, theta_init, theta_geo, mask, config, root):
-    """The fixed damping schedule that the gain-ratio rule replaced, kept as
-    its oracle: mu starts at 10, falls by 3 on an accepted step (never below
-    1e-12) and grows by 4 on a rejected one. Returns (final loss, iterations)."""
+    """The fixed damping schedule that the gain-ratio rule replaced, on the
+    dense reference Jacobian and an LU solve, kept as its oracle: mu starts
+    at 10, falls by 3 on an accepted step (never below 1e-12) and grows by 4
+    on a rejected one. Returns (final loss, iterations)."""
     n = sk.joint_count
     fit_root = config.fit_root_translation
-    axes = _bone_axes(sk)
     params = 3 * n + (3 if fit_root else 0)
-    H_const = _constant_curvature(params, axes, config)
 
     def unpack(x):
         return x[: 3 * n].reshape(n, 3), (x[3 * n :] if fit_root else root)
@@ -569,11 +696,12 @@ def reference_refine_frame(sk, target, theta_init, theta_geo, mask, config, root
     current, mu, iters = loss(x), 10.0, 0
     for _ in range(config.max_iters):
         theta, rt = unpack(x)
-        r_pos, J_pos = position_rows(sk, theta, target, mask, config, rt)
-        g = _gradient(r_pos, J_pos, theta, theta_geo, axes, config)
+        r, J = full_residual(sk, theta, theta_geo, config,
+                             *position_rows(sk, theta, target, mask, config, rt))
+        g = 2.0 * (J.T @ r)
         if np.max(np.abs(g)) < fit_module._GRAD_TOL:
             break
-        H = 2.0 * (J_pos.T @ J_pos) + H_const
+        H = 2.0 * (J.T @ J)
         moved = False
         while mu < 1e16:
             x_new = x + np.linalg.solve(H + mu * np.eye(params), -g)

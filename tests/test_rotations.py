@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from rigfit.errors import ValidationError
 from rigfit.rotations import (
-    axis_angle_jacobian,
     axis_angle_to_matrix,
-    batch_axis_angle_jacobian,
     batch_axis_angle_to_matrix,
     canonicalize_axis_angle,
     euler_to_matrix,
     is_rotation_matrix,
+    left_jacobian,
     matrix_to_axis_angle,
     matrix_to_euler,
     orthogonal_procrustes,
@@ -34,8 +33,9 @@ def single_formula_thetas(rng):
     """Generic vectors plus both sides of the small-angle switch-overs."""
     return np.vstack([
         rng.normal(size=(200, 3)) * rng.uniform(0.0, 4.0, size=(200, 1)),
-        rng.normal(size=(20, 3)) * 1e-9,  # series branch of R and J
-        rng.normal(size=(20, 3)) * 5e-8,  # closed-form R, limit J
+        rng.normal(size=(20, 3)) * 1e-9,  # series branch of R
+        rng.normal(size=(20, 3)) * 5e-8,  # closed-form R
+        rng.normal(size=(20, 3)) * 6e-3,  # both sides of the left Jacobian's series switch-over
         np.zeros((1, 3)),
     ])
 
@@ -297,29 +297,56 @@ class TestEuler:
         np.testing.assert_allclose(euler_to_matrix(a, "ZXY"), Rz @ Rx @ Ry, atol=1e-12)
 
 
+def textbook_left_jacobian(theta):
+    """I + (1 - cos a)/a^2 [theta]_x + (a - sin a)/a^3 [theta]_x^2 for one
+    vector, with no series, and 1 - cos a as 2 sin^2(a/2), which does not
+    cancel; I at zero. a - sin a cancels at small a, but its error scaled by
+    [theta]_x^2 / a^3 stays at rounding level."""
+    a = np.linalg.norm(theta)
+    if a == 0.0:
+        return np.eye(3)
+    K = skew(theta)
+    return np.eye(3) + 2.0 * np.sin(a / 2) ** 2 / a**2 * K + (a - np.sin(a)) / a**3 * (K @ K)
+
+
 class TestJacobian:
+    """The derivative of Rodrigues' formula is dR/dtheta_a = [J_l e_a]_x R,
+    J_l the left Jacobian."""
+
     def test_matches_finite_differences(self, rng):
         h = 1e-6
-        for _ in range(50):
-            theta = rng.normal(size=3)
-            J = axis_angle_jacobian(theta)
+        near_pi = rng.normal(size=(5, 3))
+        near_pi *= (np.pi - 1e-4) / np.linalg.norm(near_pi, axis=1, keepdims=True)
+        thetas = np.vstack([
+            rng.normal(size=(50, 3)),
+            rng.normal(size=(10, 3)) * 3e-3,  # the series branch
+            near_pi,
+            np.zeros((1, 3)),
+        ])
+        for theta in thetas:
+            R = axis_angle_to_matrix(theta)
+            J = left_jacobian(theta)
             for a in range(3):
                 e = np.zeros(3)
                 e[a] = h
                 fd = (axis_angle_to_matrix(theta + e) - axis_angle_to_matrix(theta - e)) / (2 * h)
-                np.testing.assert_allclose(J[a], fd, atol=1e-8)
+                np.testing.assert_allclose(skew(J[:, a]) @ R, fd, atol=1e-8)
 
     def test_batch_matches_scalar(self, rng):
-        thetas = np.vstack([rng.normal(size=(5, 3)), np.zeros((1, 3)), rng.normal(size=(1, 3)) * 1e-9])
-        batch = batch_axis_angle_jacobian(thetas)
+        # each row of the stack against the formula as written, which the
+        # series matches to rounding on both sides of its switch-over
+        thetas = single_formula_thetas(rng)
+        batch = left_jacobian(thetas)
         for i, t in enumerate(thetas):
-            np.testing.assert_allclose(batch[i], axis_angle_jacobian(t), atol=1e-10)
+            np.testing.assert_allclose(batch[i], textbook_left_jacobian(t),
+                                       rtol=0.0, atol=1e-14)
 
     def test_scalar_is_batch_row_bitwise(self, rng):
         thetas = single_formula_thetas(rng)
-        batch = batch_axis_angle_jacobian(thetas)
+        batch = left_jacobian(thetas)
+        assert np.array_equal(left_jacobian(thetas.reshape(-1, 1, 3))[:, 0], batch)
         for i, t in enumerate(thetas):
-            assert np.array_equal(axis_angle_jacobian(t), batch[i])
+            assert np.array_equal(left_jacobian(t), batch[i])
 
 
 _ANGLES = st.one_of(
