@@ -171,6 +171,8 @@ def cmd_fit(args):
 def cmd_eval(args):
     pred, _pred_names, pred_parents = _load_side(args.pred)
     gt, _gt_names, gt_parents = _load_side(args.gt)
+    if pred.frame_count != gt.frame_count:
+        raise ValidationError("frame count mismatch between pred and gt")
     if pred.joint_count == gt.joint_count:
         # a BVH side marks every joint valid: score the joints both sides trust
         shared = pred.mask & gt.mask
@@ -185,6 +187,12 @@ def cmd_eval(args):
         space = "normalized"
     wanted = ["mpjpe", "mpjve", "cds"] if args.metric == "all" else [args.metric]
     report = {"space": space}
+    if args.metric == "all" and pred.joint_count != gt.joint_count:
+        # rigs whose joints do not correspond: only cds can score the pair
+        log.warning("mpjpe and mpjve skipped: joint counts differ (%d pred, %d gt)",
+                    pred.joint_count, gt.joint_count)
+        report["mpjpe"] = report["mpjve"] = None
+        wanted = ["cds"]
     if "mpjpe" in wanted:
         report["mpjpe"] = mpjpe(pred, gt)
     if "mpjve" in wanted:
@@ -204,7 +212,7 @@ def cmd_eval(args):
         if missing is None:
             values, report["cds"] = cd_skeleton_sequence(*pred_part, *gt_part)
             report["cds_per_frame"] = values
-        elif args.metric == "cds":
+        elif wanted == ["cds"]:
             raise ValidationError(missing)
         else:
             # "all" still reports the joint metrics of a pair cds cannot score

@@ -6,11 +6,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .skeleton import bone_segments
 
 
 @dataclass(frozen=True)
 class SkeletonInstance:
-    """One posed skeleton: world joint positions plus the parent array."""
+    """A posed skeleton: (N, 3) or clip (T, N, 3) world joint positions plus parents."""
 
     positions: np.ndarray
     parents: np.ndarray
@@ -18,24 +19,20 @@ class SkeletonInstance:
     def __post_init__(self):
         pos = np.array(self.positions, dtype=float)
         parents = np.array(self.parents, dtype=int)
-        if pos.ndim != 2 or pos.shape[1] != 3 or not np.all(np.isfinite(pos)):
-            raise ValidationError("SkeletonInstance.positions must be finite Nx3")
-        if parents.shape != (pos.shape[0],):
-            raise ValidationError("SkeletonInstance.parents length mismatch")
+        if pos.ndim not in (2, 3) or pos.shape[-1] != 3 or not np.all(np.isfinite(pos)):
+            raise ValidationError("SkeletonInstance.positions must be finite Nx3 or TxNx3")
+        if parents.shape != pos.shape[-2:-1] or np.any((parents < -1) | (parents >= len(parents))):
+            raise ValidationError("SkeletonInstance.parents must be N indices in [-1, N)")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "parents", parents)
 
     @property
     def joint_count(self):
-        return self.positions.shape[0]
+        return self.positions.shape[-2]
 
     def segments(self):
-        """(K, 2, 3) array of (parent, child) bone endpoints."""
-        idx = [(p, i) for i, p in enumerate(self.parents) if p >= 0]
-        if not idx:
-            return np.empty((0, 2, 3))
-        ps, cs = zip(*idx)
-        return np.stack([self.positions[list(ps)], self.positions[list(cs)]], axis=1)
+        """(..., K, 2, 3) array of (parent, child) bone endpoints."""
+        return bone_segments(self, self.positions)
 
 
 def _check_same_shape(pred, gt):
@@ -107,29 +104,40 @@ def point_to_segment_distance(p, b1, b2):
 
 
 def _points_to_segments_min(points, segments):
-    """Min distance from each point to any segment; vectorized over both."""
-    b1 = segments[:, 0, :]
-    d = segments[:, 1, :] - b1
-    dd = np.einsum("kc,kc->k", d, d)
+    """Min distance from each point (..., P, 3) to any segment (..., K, 2, 3),
+    with xyz first and the bones in blocks whose temporaries stay within 256 KB
+    (a pose takes every bone at once, a long clip one bone at a time). A bone
+    shorter than 1e-12 counts as its first end (t = 0)."""
+    p = np.moveaxis(points, -1, 0)[..., None]
+    b1, b2 = np.moveaxis(segments, (-2, -1), (0, 1))[..., None, :]
+    d = b2 - b1
+    dd = np.einsum("i...,i...->...", d, d)
+    d[:, dd < 1e-24] = 0.0
     safe = np.maximum(dd, 1e-24)
-    t = np.einsum("pkc,kc->pk", points[:, None, :] - b1[None, :, :], d) / safe
-    t = np.clip(t, 0.0, 1.0)
-    t[:, dd < 1e-24] = 0.0
-    foot = b1[None, :, :] + t[:, :, None] * d[None, :, :]
-    dist = np.linalg.norm(points[:, None, :] - foot, axis=-1)
-    return dist.min(axis=1)
+    best = np.full(points.shape[:-1], np.inf)
+    step = max(1, (1 << 15) // max(points.size, 1))
+    for k in range(0, d.shape[-1], step):
+        b1k, dk = b1[..., k:k + step], d[..., k:k + step]
+        t = np.clip(np.einsum("i...,i...->...", p - b1k, dk) / safe[..., k:k + step], 0.0, 1.0)
+        gap = p - (b1k + t * dk)
+        np.minimum(best, np.einsum("i...,i...->...", gap, gap).min(axis=-1), out=best)
+    return np.sqrt(best)  # sqrt is monotone: the root of the least square is the least root
 
 
 def cd_skeleton_directed(a, b):
-    """Mean distance from each joint of a to the nearest bone segment of b."""
+    """Mean distance from each joint of a to the nearest bone segment of b:
+    a float for one pose, a (T,) array for clips of T frames."""
     segs = b.segments()
-    if segs.shape[0] == 0:
+    if segs.shape[-3] == 0:
         raise ValidationError("target skeleton has no bone segments")
-    return float(_points_to_segments_min(a.positions, segs).mean())
+    if a.positions.shape[:-2] != segs.shape[:-3]:
+        raise ValidationError("frame count mismatch between skeletons")
+    dist = _points_to_segments_min(a.positions, segs).mean(axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def cd_skeleton(a, b):
-    """Symmetric skeleton Chamfer distance."""
+    """Symmetric skeleton Chamfer distance, per frame for clips."""
     return 0.5 * (cd_skeleton_directed(a, b) + cd_skeleton_directed(b, a))
 
 
@@ -139,15 +147,8 @@ def cd_skeleton_sequence(pred_positions, pred_parents, gt_positions, gt_parents)
     Each side is a (T, N, 3) position sequence with its own parent array;
     the two sides may differ in joint count but not in frame count.
     """
-    pred_positions = np.asarray(pred_positions, dtype=float)
-    gt_positions = np.asarray(gt_positions, dtype=float)
-    for positions in (pred_positions, gt_positions):
-        if positions.ndim != 3 or positions.shape[2] != 3:
-            raise ValidationError("position sequences must be TxNx3")
-    if pred_positions.shape[0] != gt_positions.shape[0]:
-        raise ValidationError("frame count mismatch between pred and gt")
-    per_frame = [
-        cd_skeleton(SkeletonInstance(p, pred_parents), SkeletonInstance(g, gt_parents))
-        for p, g in zip(pred_positions, gt_positions)
-    ]
-    return per_frame, float(np.mean(per_frame))
+    if np.ndim(pred_positions) != 3 or np.ndim(gt_positions) != 3:
+        raise ValidationError("position sequences must be TxNx3")
+    per_frame = cd_skeleton(SkeletonInstance(pred_positions, pred_parents),
+                            SkeletonInstance(gt_positions, gt_parents))
+    return per_frame.tolist(), float(np.mean(per_frame))

@@ -387,13 +387,11 @@ def rest_pose_positions(skeleton):
 
 
 def bone_segments(skeleton, positions):
-    """(parent-position, child-position) pairs for every non-root joint."""
+    """(..., K, 2, 3) (parent, child) endpoints of every bone, gathered from
+    (..., N, 3) positions by one (K, 2) index array; children ascending.
+    skeleton is a Skeleton or a metrics.SkeletonInstance."""
     positions = np.asarray(positions, dtype=float)
-    if positions.shape != (skeleton.joint_count, 3):
-        raise ValidationError("positions must be Nx3 for this skeleton")
-    segs = [
-        (positions[p], positions[i])
-        for i, p in enumerate(skeleton.parents)
-        if p >= 0
-    ]
-    return np.array(segs).reshape(-1, 2, 3)
+    if positions.shape[-2:] != (skeleton.joint_count, 3):
+        raise ValidationError("positions must be (..., N, 3) for this skeleton")
+    children = np.flatnonzero(skeleton.parents >= 0)
+    return positions[..., np.stack([skeleton.parents[children], children], axis=-1), :]

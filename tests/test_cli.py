@@ -275,6 +275,29 @@ class TestEval:
         assert run("eval", "--pred", paths[0], "--gt", paths[1], "--metric", "mpjpe") == 2
         assert "no valid joint in common" in caplog.text
 
+    def test_cross_rig_all_scores_cds_only(self, tmp_path, capsys, caplog):
+        # star (3 joints) against minimal (2 joints): no joint corresponds
+        star, star_js = synth_pair(tmp_path / "star", rig=STAR)
+        minimal, minimal_js = synth_pair(tmp_path / "minimal", rig=MINIMAL)
+        with caplog.at_level("WARNING", logger="rigfit"):
+            assert run("eval", "--pred", star, "--gt", minimal) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mpjpe"] is None and report["mpjve"] is None
+        assert np.isfinite(report["cds"]) and len(report["cds_per_frame"]) == 5
+        assert caplog.text.count("mpjpe and mpjve skipped") == 1
+        for metric in ("mpjpe", "mpjve"):
+            assert run("eval", "--pred", star, "--gt", minimal, "--metric", metric) == 2
+        # with no hierarchy on either side, no metric can score the pair
+        assert run("eval", "--pred", star_js, "--gt", minimal_js) == 2
+
+    @pytest.mark.parametrize("metric", ["mpjpe", "mpjve", "cds", "all"])
+    def test_frame_count_mismatch_exit_2(self, tmp_path, caplog, metric):
+        star, _ = synth_pair(tmp_path / "star", rig=STAR, frames=5)
+        for rig in (STAR, MINIMAL):
+            gt, _ = synth_pair(tmp_path / "short", rig=rig, frames=4)
+            assert run("eval", "--pred", star, "--gt", gt, "--metric", metric) == 2
+        assert "frame count mismatch" in caplog.text
+
     def test_normalize_flag(self, tmp_path, capsys):
         bvh, js = synth_pair(tmp_path)
         assert run("eval", "--pred", bvh, "--gt", js, "--metric", "mpjpe",

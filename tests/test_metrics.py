@@ -1,7 +1,11 @@
 """MPJPE, MPJVE, masked L1, and the skeleton Chamfer distance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigfit import AnimationClip, JointTrajectory, Pose, ValidationError
 from rigfit.metrics import (
@@ -15,7 +19,7 @@ from rigfit.metrics import (
     point_to_segment_distance,
 )
 from tests.conftest import random_skeleton, smooth_clip
-from rigfit.skeleton import fk_sequence
+from rigfit.skeleton import bone_segments, fk_sequence, rest_pose_positions
 from rigfit.rotations import axis_angle_to_matrix
 
 
@@ -177,6 +181,51 @@ class TestCdSkeleton:
         b = chain_instance(rng.normal(size=(8, 3)))
         assert np.isfinite(cd_skeleton(a, b))
 
+    def test_bone_shorter_than_1e12_is_its_first_end(self):
+        # t = 0 below |d|^2 = 1e-24, as in point_to_segment_distance
+        a = SkeletonInstance(positions=[[1.0, 0.0, 0.0]], parents=[-1])
+        b = chain_instance([[0.0, 0, 0], [1e-13, 0, 0]])
+        assert cd_skeleton_directed(a, b) == 1.0
+
+    def test_clip_gives_one_value_per_frame(self, rng):
+        a = SkeletonInstance(rng.normal(size=(4, 3, 3)), [-1, 0, 1])
+        b = SkeletonInstance(rng.normal(size=(4, 5, 3)), [-1, 0, 0, 2, 2])
+        assert cd_skeleton(a, b).shape == (4,)
+        first = cd_skeleton(SkeletonInstance(a.positions[0], a.parents),
+                            SkeletonInstance(b.positions[0], b.parents))
+        assert isinstance(first, float)
+
+    def test_clips_of_different_length_rejected(self, rng):
+        a = SkeletonInstance(rng.normal(size=(4, 3, 3)), [-1, 0, 1])
+        b = SkeletonInstance(rng.normal(size=(3, 3, 3)), [-1, 0, 1])
+        with pytest.raises(ValidationError, match="frame count mismatch"):
+            cd_skeleton(a, b)
+
+
+class TestSkeletonInstance:
+    @pytest.mark.parametrize("parent", [7, 3, -2, -5])
+    def test_out_of_range_parent_rejected(self, parent):
+        with pytest.raises(ValidationError, match=r"\[-1, N\)"):
+            SkeletonInstance(np.zeros((3, 3)), [-1, 0, parent])
+
+    def test_clip_segments_stack_the_frames(self, rng):
+        pos = rng.normal(size=(4, 5, 3))
+        parents = [-1, 0, 1, 0, 3]
+        clip = SkeletonInstance(pos, parents).segments()
+        assert clip.shape == (4, 4, 2, 3)
+        for t in range(4):
+            np.testing.assert_array_equal(clip[t], SkeletonInstance(pos[t], parents).segments())
+
+    @given(seed=st.integers(0, 2**32 - 1), joints=st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_same_rows_as_bone_segments(self, seed, joints):
+        rng = np.random.default_rng(seed)
+        sk = random_skeleton(rng, joints)
+        pos = rest_pose_positions(sk) + rng.normal(size=(joints, 3))
+        np.testing.assert_array_equal(
+            SkeletonInstance(pos, sk.parents).segments(), bone_segments(sk, pos)
+        )
+
 
 class TestCdSkeletonSequence:
     def test_identical_sequences_zero(self, rng):
@@ -206,3 +255,83 @@ class TestCdSkeletonSequence:
         gt = fk_sequence(sk, clip).positions[:2]
         with pytest.raises(ValidationError):
             cd_skeleton_sequence(fk_sequence(sk, clip).positions, sk.parents, gt, sk.parents)
+
+
+def reference_cd_skeleton_sequence(pred_positions, pred_parents, gt_positions, gt_parents):
+    """The per-frame loop that the clip body replaced: one pose pair at a time."""
+    per_frame = [
+        cd_skeleton(SkeletonInstance(p, pred_parents), SkeletonInstance(g, gt_parents))
+        for p, g in zip(pred_positions, gt_positions)
+    ]
+    return per_frame, float(np.mean(per_frame))
+
+
+def brute_force_cd(a, a_parents, b, b_parents):
+    """One frame's symmetric distance, point by point and bone by bone."""
+    def directed(points, pos, parents):
+        segs = [(pos[p], pos[i]) for i, p in enumerate(parents) if p >= 0]
+        return np.mean([min(point_to_segment_distance(q, b1, b2)[0] for b1, b2 in segs)
+                        for q in points])
+    return 0.5 * (directed(a, b, b_parents) + directed(b, a, a_parents))
+
+
+@st.composite
+def posed_trees(draw, frames):
+    """A random tree of 2..8 joints in any index order (parents need not come
+    first), posed over the frames; some bones collapse to zero length."""
+    n = draw(st.integers(2, 8))
+    parents = [-1] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    order = draw(st.permutations(range(n)))
+    rank = np.argsort(order)  # joint i of the tree sits at index rank[i]
+    parents = np.array([-1 if p < 0 else rank[p] for p in np.array(parents)[order]])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positions = rng.normal(size=(frames, n, 3))
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        if parents[j] >= 0:
+            positions[:, j] = positions[:, parents[j]]  # the t = 0 branch
+    return positions, parents
+
+
+@st.composite
+def clip_pairs(draw):
+    frames = draw(st.integers(1, 5))
+    return draw(posed_trees(frames)) + draw(posed_trees(frames))
+
+
+class TestClipBody:
+    @given(pair=clip_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_frame_loop(self, pair):
+        pred, pred_parents, gt, gt_parents = pair
+        per_frame, mean = cd_skeleton_sequence(pred, pred_parents, gt, gt_parents)
+        ref_frames, ref_mean = reference_cd_skeleton_sequence(pred, pred_parents, gt, gt_parents)
+        assert len(per_frame) == len(ref_frames)
+        np.testing.assert_allclose(per_frame, ref_frames, rtol=0.0, atol=1e-12)
+        assert abs(mean - ref_mean) <= 1e-12
+        for t in range(len(per_frame)):
+            brute = brute_force_cd(pred[t], pred_parents, gt[t], gt_parents)
+            assert abs(per_frame[t] - brute) <= 1e-12
+
+    @pytest.mark.parametrize("frames", [600, 1400])
+    def test_long_clip_matches_per_frame_loop(self, rng, frames):
+        # 8 joints: at 600 frames the bones go two to a block, at 1400 one
+        sk = random_skeleton(rng, 8)
+        pred = fk_sequence(sk, smooth_clip(rng, 8, frames)).positions
+        gt = pred + rng.normal(scale=0.05, size=pred.shape)
+        gt[:, 3] = gt[:, sk.parents[3]]
+        per_frame, mean = cd_skeleton_sequence(pred, sk.parents, gt, sk.parents)
+        ref_frames, ref_mean = reference_cd_skeleton_sequence(pred, sk.parents, gt, sk.parents)
+        np.testing.assert_allclose(per_frame, ref_frames, rtol=0.0, atol=1e-12)
+        assert abs(mean - ref_mean) <= 1e-12
+
+    def test_long_clip_temporaries_stay_small(self, rng):
+        # every bone at once would take 6.3 MB per (3, T, P, K) temporary here
+        pos = rng.normal(size=(300, 30, 3))
+        parents = [-1] + list(range(29))
+        tracemalloc.start()
+        try:
+            cd_skeleton_sequence(pos, parents, pos[::-1], parents)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
