@@ -104,24 +104,25 @@ def point_to_segment_distance(p, b1, b2):
 
 
 def _points_to_segments_min(points, segments):
-    """Min distance from each point (..., P, 3) to any segment (..., K, 2, 3),
-    with xyz first and the bones in blocks whose temporaries stay within 256 KB
-    (a pose takes every bone at once, a long clip one bone at a time). A bone
-    shorter than 1e-12 counts as its first end (t = 0)."""
-    p = np.moveaxis(points, -1, 0)[..., None]
-    b1, b2 = np.moveaxis(segments, (-2, -1), (0, 1))[..., None, :]
-    d = b2 - b1
-    dd = np.einsum("i...,i...->...", d, d)
-    d[:, dd < 1e-24] = 0.0
-    safe = np.maximum(dd, 1e-24)
-    best = np.full(points.shape[:-1], np.inf)
-    step = max(1, (1 << 15) // max(points.size, 1))
-    for k in range(0, d.shape[-1], step):
-        b1k, dk = b1[..., k:k + step], d[..., k:k + step]
-        t = np.clip(np.einsum("i...,i...->...", p - b1k, dk) / safe[..., k:k + step], 0.0, 1.0)
-        gap = p - (b1k + t * dk)
-        np.minimum(best, np.einsum("i...,i...->...", gap, gap).min(axis=-1), out=best)
-    return np.sqrt(best)  # sqrt is monotone: the root of the least square is the least root
+    """Min distance of each point (..., P, 3) to any segment (..., K, 2, 3); t = 0 on bones under
+    1e-12. Frames, then bones, go in blocks of 32 KB temporaries (malloc maps 128 KB afresh)."""
+    P, K = points.shape[-2], segments.shape[-3]
+    p = np.moveaxis(points.reshape(-1, P, 3), -1, 0)[:, :, None, :]  # 3, F, 1, P
+    ends = np.moveaxis(segments.reshape(-1, K, 2, 3), (-2, -1), (0, 1))[..., None]  # 2, 3, F, K, 1
+    best = np.full(p.shape[1:], np.inf)
+    frames = max(1, (1 << 12) // (3 * P))
+    for f in range(0, p.shape[1], frames):
+        pf, (b1, b2), out = p[:, f:f + frames], ends[:, :, f:f + frames], best[f:f + frames]
+        d = b2 - b1
+        dd = np.einsum("i...,i...->...", d, d)
+        dd[dd < 1e-24] = np.inf  # so t = 0 on a bone under 1e-12
+        step = max(1, (1 << 12) // pf.size)
+        for k in range(0, K, step):
+            b1k, dk = b1[:, :, k:k + step], d[:, :, k:k + step]
+            t = np.clip(np.einsum("i...,i...->...", pf - b1k, dk) / dd[:, k:k + step], 0.0, 1.0)
+            gap = pf - (b1k + t * dk)
+            np.minimum(out, np.einsum("i...,i...->...", gap, gap).min(-2, keepdims=True), out=out)
+    return np.sqrt(best).reshape(points.shape[:-1])  # sqrt is monotone: root of the least square
 
 
 def cd_skeleton_directed(a, b):

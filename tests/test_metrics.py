@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rigfit import AnimationClip, JointTrajectory, Pose, ValidationError
 from rigfit.metrics import (
     SkeletonInstance,
+    _points_to_segments_min,
     cd_skeleton,
     cd_skeleton_directed,
     cd_skeleton_sequence,
@@ -314,7 +315,8 @@ class TestClipBody:
 
     @pytest.mark.parametrize("frames", [600, 1400])
     def test_long_clip_matches_per_frame_loop(self, rng, frames):
-        # 8 joints: at 600 frames the bones go two to a block, at 1400 one
+        # 8 joints: 170 frames to a block, one bone at a time; 600 and 1400
+        # frames take 4 and 9 frame blocks, the last one short
         sk = random_skeleton(rng, 8)
         pred = fk_sequence(sk, smooth_clip(rng, 8, frames)).positions
         gt = pred + rng.normal(scale=0.05, size=pred.shape)
@@ -335,3 +337,18 @@ class TestClipBody:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    @pytest.mark.parametrize("frames, joints", [(1, 60), (16, 60), (300, 30), (2000, 8)])
+    def test_body_scratch_is_blocked(self, rng, frames, joints):
+        # malloc maps each block of 128 KB or more afresh and page-faults it
+        # in on every call; beside its (T, P) minimum and root, the body keeps
+        # a few temporaries of at most 32 KB, however long the clip
+        pos = rng.normal(size=(frames, joints, 3))
+        segs = SkeletonInstance(pos, [-1] + list(range(joints - 1))).segments()
+        tracemalloc.start()
+        try:
+            _points_to_segments_min(pos, segs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 2 * pos[..., 0].nbytes < 5 * 32 * 1024
