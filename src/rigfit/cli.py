@@ -111,7 +111,10 @@ def cmd_fit(args):
     name_map = {}
     if args.map:
         with open(args.map, "r", encoding="utf-8") as fh:
-            name_map = json.load(fh)
+            try:
+                name_map = json.load(fh)
+            except ValueError as exc:  # malformed JSON, or text that is not UTF-8
+                raise ValidationError(f"--map file is not valid JSON: {exc}") from exc
         if not isinstance(name_map, dict) or not all(
             isinstance(v, str) for v in name_map.values()
         ):

@@ -1,10 +1,10 @@
 """Two-stage IK: closed-form geometric initialization of all frames at once,
 then first-order refinement of axis-angle parameters with position, prior
-and twist terms, frame by frame and warm-started across frames.
+and twist terms, frame by frame, each frame from its own geometric estimate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -71,7 +71,6 @@ class FrameFitResult:
     accepted_losses: tuple
     stop: str
     trials: int
-    diagnostics: tuple = field(default_factory=tuple)
 
 
 def _bone_axes(skeleton):
@@ -338,11 +337,11 @@ def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None
     accepted step scales it by max(1/3, 1 - (2 rho - 1)^3), where rho is the
     actual over the predicted decrease, and each rejection scales it by nu,
     which doubles per rejection in a row. The accepted-iterate loss sequence
-    is therefore non-increasing, and the result never scores worse than the
-    geometric initialization (the better of the two is returned). theta_init
-    and theta_geo are (N, 3) rotations; root_translation (zeros by default)
-    is the start's and the geometric initialization's root translation. The
-    result's stop says which of STOP_REASONS ended the iteration.
+    is therefore non-increasing, and the result never scores above its start.
+    theta_init and theta_geo are (N, 3) rotations, the same ones when
+    fit_sequence calls it; root_translation (zeros by default) is the start's
+    and the geometric initialization's root translation. The result's stop
+    says which of STOP_REASONS ended the iteration.
     """
     if config is None:
         config = FitConfig()
@@ -407,17 +406,7 @@ def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None
             stop = "damping_exhausted"
             break
 
-    diagnostics = []
     theta_final, root_final = unpack(x)
-    geo_terms = fit_loss(
-        skeleton, geo_rot, target, geo_rot, mask, config, root_t, bone_axes
-    )
-    if geo_terms.total < terms.total:
-        # warm start came in above the closed-form estimate; keep the better one
-        theta_final, root_final, terms = geo_rot, root_t, geo_terms
-        accepted.append(terms.total)
-        diagnostics.append("refinement fell back to the geometric initialization")
-
     return FrameFitResult(
         pose=Pose(rotations=theta_final, root_translation=root_final),
         final_loss=terms.total,
@@ -426,20 +415,18 @@ def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None
         accepted_losses=tuple(accepted),
         stop=stop,
         trials=trials,
-        diagnostics=tuple(diagnostics),
     )
 
 
 def fit_sequence(skeleton, trajectory, config=None):
-    """Fit a whole trajectory: geometric init of all frames, then warm-started
-    refinement frame by frame.
+    """Fit a whole trajectory: geometric init of all frames, then each frame
+    refined from its own geometric estimate and anchored there, so that no
+    frame scores above its estimate.
 
-    Frame 0 starts from its own geometric estimate; frame t > 0 starts from
-    the previous frame's refined rows as they are, with the prior anchored at
-    frame t's own estimate. Root translation is read from the trajectory's
-    root joint and further optimized when config.fit_root_translation is set.
-    A masked root gives no position to read, so its translation is then
-    always optimized, and each frame's diagnostics say so.
+    Root translation is read from the trajectory's root joint and further
+    optimized when config.fit_root_translation is set. A masked root gives no
+    position to read, so its translation is then always optimized, and each
+    frame's diagnostics say so.
 
     Returns (AnimationClip, per-frame diagnostics dicts).
     """
@@ -454,9 +441,8 @@ def fit_sequence(skeleton, trajectory, config=None):
     geo_rot, geo_root, geo_diag = geometric_init(skeleton, trajectory.positions, trajectory.mask)
     poses, reports = [], []
     for t in range(trajectory.frame_count):
-        start = poses[-1].rotations if poses else geo_rot[t]
         result = refine_frame(
-            skeleton, trajectory.positions[t], start, geo_rot[t], trajectory.mask, config,
+            skeleton, trajectory.positions[t], geo_rot[t], geo_rot[t], trajectory.mask, config,
             root_translation=geo_root[t],
         )
         poses.append(result.pose)
@@ -470,7 +456,7 @@ def fit_sequence(skeleton, trajectory, config=None):
                 "stop": result.stop,
                 "trials": result.trials,
                 "accepted_losses": list(result.accepted_losses),
-                "diagnostics": root_diag + geo_diag[t] + list(result.diagnostics),
+                "diagnostics": root_diag + geo_diag[t],
             }
         )
     return clip_from_poses(poses, trajectory.fps), reports

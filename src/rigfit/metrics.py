@@ -17,8 +17,8 @@ class SkeletonInstance:
     parents: np.ndarray
 
     def __post_init__(self):
-        pos = np.array(self.positions, dtype=float)
-        parents = np.array(self.parents, dtype=int)
+        pos = np.asarray(self.positions, dtype=float)  # a view of float input, not a copy
+        parents = np.asarray(self.parents, dtype=int)
         if pos.ndim not in (2, 3) or pos.shape[-1] != 3 or not np.all(np.isfinite(pos)):
             raise ValidationError("SkeletonInstance.positions must be finite Nx3 or TxNx3")
         if parents.shape != pos.shape[-2:-1] or np.any((parents < -1) | (parents >= len(parents))):

@@ -33,13 +33,15 @@ def trajectory_from_dict(data):
     for key in ("fps", "joint_names", "frames"):
         if key not in data:
             raise TrajectoryFormatError(f"trajectory JSON missing {key!r}")
-    names = list(data["joint_names"])
-    repeated = sorted({str(n) for n in names if names.count(n) > 1})
+    names = data["joint_names"]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise TrajectoryFormatError("joint_names must be a list of strings")
+    repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
         raise TrajectoryFormatError("joint_names repeat: " + ", ".join(repeated))
     try:
         frames = np.asarray(data["frames"], dtype=float)
-    except ValueError as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise TrajectoryFormatError("frames are not a rectangular TxNx3 grid") from exc
     if frames.ndim != 3 or frames.shape[2] != 3:
         raise TrajectoryFormatError("frames are not a rectangular TxNx3 grid")
@@ -49,8 +51,9 @@ def trajectory_from_dict(data):
     if mask is None:
         mask = np.ones(len(names), dtype=bool)
     else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (len(names),):
+        if not isinstance(mask, list) or not all(isinstance(m, bool) for m in mask):
+            raise TrajectoryFormatError("mask must be a list of true/false flags")
+        if len(mask) != len(names):
             raise TrajectoryFormatError("mask length does not match joint_names")
     try:
         traj = JointTrajectory(positions=frames, mask=mask, fps=float(data["fps"]))
@@ -69,6 +72,6 @@ def load_trajectory(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, or text that is not UTF-8
             raise TrajectoryFormatError(f"invalid JSON: {exc}") from exc
     return trajectory_from_dict(data)

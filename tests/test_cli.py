@@ -3,9 +3,12 @@
 import json
 import logging
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigfit import JointTrajectory
 from rigfit.bvh import parse_bvh
@@ -93,28 +96,36 @@ class TestFit:
             for key in ("loss_pos", "loss_prior", "loss_twist", "iters", "stop", "trials"):
                 assert key in fr
 
-    def fit_report(self, tmp_path, *extra):
+    def fit_report(self, tmp_path, *extra, root_masked=False):
+        """Per-frame report of a star fit. Each frame of the clip starts at its
+        exact geometric init, and stops there at once, unless the root is
+        masked: then the root translation is fitted, which takes iterations."""
         _, js = synth_pair(tmp_path, rig=STAR, frames=8, seed=1)
+        if root_masked:
+            doc = json.load(open(js))
+            doc["mask"][0] = False
+            js = str(tmp_path / "noroot.json")
+            json.dump(doc, open(js, "w"))
         report = str(tmp_path / "report.json")
         assert run("fit", "--rig", STAR, "--traj", js, "--out", str(tmp_path / "fit.bvh"),
                    "--report", report, *extra) == 0
         return json.load(open(report))["frames"]
 
     def test_realizable_fit_reports_grad_tol(self, tmp_path):
-        frames = self.fit_report(tmp_path)
+        frames = self.fit_report(tmp_path, root_masked=True)
         assert all(fr["stop"] == "grad_tol" for fr in frames)
         assert all(fr["trials"] >= fr["iters"] for fr in frames)
         assert max(fr["iters"] for fr in frames) > 2
 
     def test_max_iters_report(self, tmp_path):
-        frames = self.fit_report(tmp_path, "--max-iters", "2")
+        frames = self.fit_report(tmp_path, "--max-iters", "2", root_masked=True)
         assert all(fr["iters"] <= 2 for fr in frames)
         cut = [fr for fr in frames if fr["iters"] == 2]
         assert cut and all(fr["stop"] == "max_iters" for fr in cut)
 
     def test_early_stop_warns_once(self, tmp_path, caplog):
         with caplog.at_level("WARNING", logger="rigfit"):
-            frames = self.fit_report(tmp_path, "--max-iters", "2")
+            frames = self.fit_report(tmp_path, "--max-iters", "2", root_masked=True)
         cut = [t for t, fr in enumerate(frames) if fr["stop"] == "max_iters"]
         warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
         assert len(cut) > 5 and len(warnings) == 1
@@ -171,10 +182,108 @@ class TestFit:
         assert run("fit", "--rig", RIG, "--traj", js, "--map", str(map_path),
                    "--out", str(tmp_path / "o.bvh")) == 2
 
+    def test_malformed_map_exit_2(self, tmp_path, caplog):
+        _, js = synth_pair(tmp_path, frames=2)
+        map_path = tmp_path / "map.json"
+        map_path.write_text("{bad")
+        assert run("fit", "--rig", RIG, "--traj", js, "--map", str(map_path),
+                   "--out", str(tmp_path / "o.bvh")) == 2
+        assert "--map file is not valid JSON" in caplog.text
+
     def test_missing_file_exit_3(self, tmp_path):
         assert run("fit", "--rig", str(tmp_path / "nope.bvh"),
                    "--traj", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "o.bvh")) == 3
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated_documents(draw, doc):
+    """doc with one mutation: a value anywhere in it replaced, a key or list
+    entry dropped, or the whole document replaced; as JSON text, which may
+    also be cut short."""
+    doc = json.loads(json.dumps(doc))
+    holder, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        holder, key = node, draw(st.sampled_from(list(keys)))
+        node = node[key]
+    if holder is None:
+        doc = draw(JSON_VALUES)
+    elif draw(st.booleans()):
+        del holder[key]
+    else:
+        holder[key] = draw(JSON_VALUES)
+    text = json.dumps(doc)
+    if draw(st.integers(0, 4)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+def exit_code(*argv):
+    """main's exit code, with argparse's usage errors counted as exit 2."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture(scope="module")
+def star_pair(tmp_path_factory):
+    bvh, js = synth_pair(tmp_path_factory.mktemp("star"), rig=STAR, frames=3, seed=1)
+    return bvh, js, json.load(open(js))
+
+
+NUMERIC_FLAGS = ("--lambda-prior", "--lambda-twist", "--max-iters")
+NUMBERS = (st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e400", "-0", "", "x", "1.5"])
+           | st.integers(-10, 10**6).map(str) | st.floats().map(repr) | st.text(max_size=5))
+
+
+class TestBadInputProperties:
+    """Mutated input files and flags are validation errors (exit 2), never
+    internal ones (exit 4)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_trajectory(self, star_pair, data):
+        bvh, _, doc = star_pair
+        text = data.draw(mutated_documents(doc))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "traj.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            assert exit_code("fit", "--rig", STAR, "--traj", path,
+                             "--out", os.path.join(tmp, "o.bvh")) in (0, 2)
+            assert exit_code("eval", "--pred", path, "--gt", bvh) in (0, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutated_map(self, star_pair, data):
+        _, js, _ = star_pair
+        text = data.draw(mutated_documents({"Pelvis": "Pelvis", "LegL": "LegR",
+                                            "LegR": "LegL"}))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "map.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            assert exit_code("fit", "--rig", STAR, "--traj", js, "--map", path,
+                             "--out", os.path.join(tmp, "o.bvh")) in (0, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(flag=st.sampled_from(NUMERIC_FLAGS), value=NUMBERS)
+    def test_mutated_numeric_flag(self, star_pair, flag, value):
+        _, js, _ = star_pair
+        with tempfile.TemporaryDirectory() as tmp:
+            assert exit_code("fit", "--rig", STAR, "--traj", js, "--out",
+                             os.path.join(tmp, "o.bvh"), f"{flag}={value}") in (0, 2)
 
 
 class TestEval:

@@ -1,5 +1,7 @@
 """Two-stage IK: geometric initialization, loss/gradient, refinement, sequence fit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -545,17 +547,18 @@ class TestRefineFrame:
             losses = np.array(res.accepted_losses)
             assert np.all(np.diff(losses) <= 1e-15)
 
-    def test_never_worse_than_geometric_init(self, rng):
+    def test_never_worse_than_its_start(self, rng):
         n = 6
         sk = random_skeleton(rng, n)
         target = forward_kinematics(sk, Pose(rotations=rng.normal(size=(n, 3)) * 0.6))
         geo, _ = geometric_init_frame(sk, target)
-        bad_init = rng.normal(size=(n, 3))  # deliberately far warm start
+        bad_init = rng.normal(size=(n, 3))  # deliberately far from the anchor
         res = refine_frame(sk, target, bad_init, geo.rotations)
-        geo_loss = fit_loss(
-            sk, geo.rotations, target, geo.rotations, np.ones(n, bool), FitConfig()
+        start_loss = fit_loss(
+            sk, bad_init, target, geo.rotations, np.ones(n, bool), FitConfig()
         ).total
-        assert res.final_loss <= geo_loss + 1e-12
+        assert res.accepted_losses[0] == start_loss
+        assert res.final_loss <= start_loss
 
     @pytest.mark.parametrize("fit_root", [False, True])
     def test_one_fk_per_loss_evaluation(self, rng, monkeypatch, fit_root):
@@ -585,8 +588,8 @@ class TestRefineFrame:
                            config=FitConfig(fit_root_translation=fit_root))
         assert res.iterations_used > 2 and calls["normal"] > 2
         assert calls["fk"] == calls["loss"]
-        # one loss at the start, one per trial step, one for the fallback check
-        assert calls["loss"] == res.trials + 2
+        # one loss at the start and one per trial step
+        assert calls["loss"] == res.trials + 1
 
     def test_stop_reasons(self, rng):
         n = 12
@@ -628,7 +631,7 @@ class TestRefineFrame:
         geo_rot, geo_root, _ = geometric_init(sk, positions, mask)
         init = geo_rot[0] + 0.5 * rng.normal(size=(n, 3))
         res = refine_frame(sk, positions[0], init, geo_rot[0], mask, cfg, geo_root[0])
-        assert res.stop in STOP_REASONS and res.iterations_used > 2 and not res.diagnostics
+        assert res.stop in STOP_REASONS and res.iterations_used > 2
         assert np.all(np.isfinite(res.pose.rotations)) and np.isfinite(res.final_loss)
         np.testing.assert_allclose(res.pose.rotations[-3:], init[-3:], rtol=0.0, atol=1e-12)
         fitted, reports = fit_sequence(sk, JointTrajectory(positions, mask, 30.0), cfg)
@@ -661,7 +664,7 @@ class TestRefineFrame:
         res = refine_frame(sk, target, np.zeros((3, 3)), np.zeros((3, 3)), mask, cfg)
         assert infos[0] > 0 and infos[-1] == 0
         assert res.trials == len(infos) > res.iterations_used
-        assert res.stop == "grad_tol" and res.final_loss < 1e-12 and not res.diagnostics
+        assert res.stop == "grad_tol" and res.final_loss < 1e-12
         assert np.all(np.isfinite(res.pose.rotations))
         assert np.all(np.diff(res.accepted_losses) <= 0.0)
 
@@ -717,8 +720,9 @@ def reference_refine_frame(sk, target, theta_init, theta_geo, mask, config, root
 
 
 def warm_start_frame(n, seed, bone_scale=1.0, noise=0.0, masked=0, fit_root=False):
-    """Frame 1 of a random clip, started from frame 0's geometric estimate as
-    fit_sequence starts it: (skeleton, target, init, geo, mask, config, root)."""
+    """Frame 1 of a random clip, started from frame 0's geometric estimate, a
+    nearby start that is not its own: (skeleton, target, init, geo, mask,
+    config, root)."""
     rng = np.random.default_rng(seed)
     sk = random_skeleton(rng, n)
     positions = fk_sequence(scaled_skeleton(sk, bone_scale), smooth_clip(rng, n, 2)).positions
@@ -755,9 +759,8 @@ class TestGainRatioDamping:
         steps = {}
         for scale in (1.0, 1e3):
             big = validate_skeleton(sk.joint_names, sk.parents, sk.offsets * scale)
-            # anchored at the start, so that no fallback replaces the last step
             res = refine_frame(big, target * scale, init, init, config=cfg)
-            assert res.stop == "max_iters" and not res.diagnostics
+            assert res.stop == "max_iters"
             steps[scale] = res.pose.rotations
         np.testing.assert_allclose(steps[1e3], steps[1.0], atol=1e-8)
 
@@ -782,8 +785,8 @@ def fit_problems(draw):
     return sk, positions, mask, config, rng.normal(size=(n, 3)) * 0.5
 
 
-def assert_sound(final_loss, accepted_losses, stop, iters, geo_loss, config):
-    assert np.isfinite(final_loss) and final_loss <= geo_loss
+def assert_sound(final_loss, accepted_losses, stop, iters, bound, config):
+    assert np.isfinite(final_loss) and final_loss <= bound
     assert accepted_losses[-1] == final_loss
     assert np.all(np.diff(accepted_losses) <= 0.0)
     assert stop in STOP_REASONS
@@ -800,10 +803,10 @@ class TestFitProperties:
                            config, geo_root[0])
         assert np.all(np.isfinite(res.pose.rotations))
         assert np.all(np.isfinite(res.pose.root_translation))
-        geo_loss = fit_loss(sk, geo_rot[0], positions[0], geo_rot[0], mask, config,
-                            geo_root[0]).total
+        start_loss = fit_loss(sk, geo_rot[0] + perturbation, positions[0], geo_rot[0], mask,
+                              config, geo_root[0]).total
         assert_sound(res.final_loss, res.accepted_losses, res.stop, res.iterations_used,
-                     geo_loss, config)
+                     start_loss, config)
         assert res.trials >= res.iterations_used
 
     @settings(max_examples=40, deadline=None)
@@ -850,29 +853,32 @@ class TestFitSequence:
             assert np.array_equal(fitted.rotations[t], pose.rotations)
             assert np.array_equal(fitted.root_translation[t], pose.root_translation)
 
-    def test_warm_start_is_previous_refined_rows_bitwise(self, monkeypatch):
-        # frame t starts from frame t-1's refined rows themselves, which a
-        # second canonicalization would move by an ulp in some rows here
-        import rigfit.fit as fit_module
-
+    def test_each_frame_starts_at_its_geometric_init_bitwise(self, monkeypatch):
+        # frame t starts at, and is anchored at, geo_rot[t] itself, whatever
+        # the frames before it ended at
         calls = []
 
-        def recording(skeleton, target, theta_init, *args, **kwargs):
-            result = refine_frame(skeleton, target, theta_init, *args, **kwargs)
-            calls.append((np.array(theta_init), result.pose.rotations))
-            return result
+        def recording(skeleton, target, theta_init, theta_geo, mask, config, root_translation):
+            calls.append((np.array(theta_init), np.array(theta_geo), np.array(root_translation)))
+            return refine_frame(skeleton, target, theta_init, theta_geo, mask, config,
+                                root_translation)
 
         monkeypatch.setattr(fit_module, "refine_frame", recording)
         rng = np.random.default_rng(5)
-        moved = 0
-        for _ in range(4):
+        for masked_root in (False, True):
             sk = random_skeleton(rng, 24)
+            traj = fk_sequence(sk, smooth_clip(rng, 24, 4))
+            mask = np.ones(24, dtype=bool)
+            mask[0] = not masked_root
+            traj = JointTrajectory(traj.positions, mask, traj.fps)
             calls.clear()
-            fit_sequence(sk, fk_sequence(sk, smooth_clip(rng, 24, 4)))
-            for (_, previous), (start, _) in zip(calls, calls[1:]):
-                assert np.array_equal(start, previous)
-                moved += np.sum(np.any(canonicalize_axis_angle(previous) != previous, axis=-1))
-        assert moved > 0
+            fit_sequence(sk, traj)
+            geo_rot, geo_root, _ = geometric_init(sk, traj.positions, mask)
+            assert len(calls) == 4
+            for t, (start, anchor, root) in enumerate(calls):
+                assert np.array_equal(start, geo_rot[t])
+                assert np.array_equal(anchor, geo_rot[t])
+                assert np.array_equal(root, geo_root[t])
 
     def test_round_trip_mpjpe(self, rng):
         skn, traj, fitted, reports = self.fitted_roundtrip(rng, 10, 8)
@@ -951,6 +957,56 @@ class TestFitSequence:
         assert mpjpe(out, traj) < 1e-3
         for rep in reports:
             assert any("root translation fitted" in d for d in rep["diagnostics"])
+
+
+def chain_fit_losses(sk, trajectory, config):
+    """The warm-start chain that fit_sequence once ran, kept as a reference:
+    frame t > 0 starts from frame t - 1's refined rotations, anchored at its
+    own geometric init, and a frame that ends above that init falls back to
+    it. Returns the per-frame final losses."""
+    mask = trajectory.mask
+    if not mask[0]:
+        config = replace(config, fit_root_translation=True)
+    geo_rot, geo_root, _ = geometric_init(sk, trajectory.positions, mask)
+    losses, start = [], geo_rot[0]
+    for t, target in enumerate(trajectory.positions):
+        res = refine_frame(sk, target, start, geo_rot[t], mask, config, geo_root[t])
+        geo_loss = fit_loss(sk, geo_rot[t], target, geo_rot[t], mask, config, geo_root[t]).total
+        if geo_loss < res.final_loss:
+            losses.append(geo_loss)
+            start = Pose(rotations=geo_rot[t]).rotations
+        else:
+            losses.append(res.final_loss)
+            start = res.pose.rotations
+    return np.array(losses)
+
+
+def chain_problem(n, frames, seed, bone_scale=1.0, noise=0.0, masked=0, fit_root=False):
+    """A random clip like perfbench's: (skeleton, trajectory, config)."""
+    rng = np.random.default_rng(seed)
+    sk = random_skeleton(rng, n)
+    positions = fk_sequence(scaled_skeleton(sk, bone_scale), smooth_clip(rng, n, frames)).positions
+    positions = positions + rng.normal(size=(1, 1, 3)) + noise * rng.normal(size=positions.shape)
+    mask = np.ones(n, dtype=bool)
+    mask[rng.choice(np.arange(1, n), size=masked, replace=False)] = False
+    return sk, JointTrajectory(positions, mask, 30.0), FitConfig(fit_root_translation=fit_root)
+
+
+class TestAgainstWarmStartChain:
+    # a regression check, not a property: the two starts may reach different
+    # minima, so it holds on these seeds rather than on every clip
+    @pytest.mark.parametrize("problem", [
+        dict(n=60, frames=8, seed=801),
+        dict(n=24, frames=8, seed=802, bone_scale=1.15, noise=0.02, masked=4, fit_root=True),
+        dict(n=12, frames=8, seed=803, masked=1),
+    ], ids=["realizable60", "noisy24", "masked12"])
+    def test_no_frame_ends_above_the_chain(self, monkeypatch, problem):
+        monkeypatch.setattr(fit_module, "_GRAD_TOL", 1e-10)
+        sk, trajectory, config = chain_problem(**problem)
+        chain = chain_fit_losses(sk, trajectory, config)
+        _, reports = fit_sequence(sk, trajectory, config)
+        losses = np.array([rep["loss_total"] for rep in reports])
+        assert np.all(losses <= chain * (1.0 + 1e-6))
 
 
 class TestTwistSuppression:

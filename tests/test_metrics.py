@@ -209,6 +209,15 @@ class TestSkeletonInstance:
         with pytest.raises(ValidationError, match=r"\[-1, N\)"):
             SkeletonInstance(np.zeros((3, 3)), [-1, 0, parent])
 
+    def test_float_positions_are_not_copied(self, rng):
+        pos = rng.normal(size=(4, 5, 3))
+        parents = np.array([-1, 0, 1, 0, 3])
+        inst = SkeletonInstance(pos, parents)
+        assert np.shares_memory(inst.positions, pos)
+        assert np.shares_memory(inst.parents, parents)
+        # other input is still converted
+        assert SkeletonInstance(pos.astype(np.float32), parents).positions.dtype == float
+
     def test_clip_segments_stack_the_frames(self, rng):
         pos = rng.normal(size=(4, 5, 3))
         parents = [-1, 0, 1, 0, 3]

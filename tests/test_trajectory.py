@@ -92,3 +92,24 @@ class TestSchemaErrors:
         path.write_text("{not json")
         with pytest.raises(TrajectoryFormatError):
             load_trajectory(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("frames", {"0": [[0.0, 0.0, 0.0]]}, "rectangular"),
+        ("frames", [[[10**400, 0, 0]] * 4], "rectangular"),
+        ("joint_names", ["a", ["b"], "c", "d"], "list of strings"),
+        ("joint_names", "abcd", "list of strings"),
+        ("mask", [True, [True], True, False], "true/false flags"),
+        ("mask", ["true", "true", "true", "false"], "true/false flags"),
+    ], ids=["frames-object", "frames-overflow", "name-list", "names-string", "mask-nested",
+            "mask-strings"])
+    def test_wrong_types(self, rng, key, value, message):
+        data = self.base(rng)
+        data[key] = value
+        with pytest.raises(TrajectoryFormatError, match=message):
+            trajectory_from_dict(data)
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"v": 1, "fps": 30, "joint_names": ["\xff"]}')
+        with pytest.raises(TrajectoryFormatError):
+            load_trajectory(path)
