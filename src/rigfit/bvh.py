@@ -21,7 +21,6 @@ from .skeleton import AnimationClip, Skeleton, validate_skeleton
 
 _POSITION_CHANNELS = ("Xposition", "Yposition", "Zposition")
 _ROTATION_CHANNELS = {"Xrotation": "X", "Yrotation": "Y", "Zrotation": "Z"}
-_DEFAULT_ROT_CHANNELS = ("Zrotation", "Xrotation", "Yrotation")
 
 
 @dataclass(frozen=True)
@@ -61,9 +60,12 @@ class BvhDocument:
 
 def _number(tok, line):
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
         raise BvhParseError(f"non-numeric literal {tok!r}", line)
+    if value - value != 0.0:  # nan and +-inf, which float() accepts
+        raise BvhParseError(f"non-finite literal {tok!r}", line)
+    return value
 
 
 class _Tokens:
@@ -165,8 +167,20 @@ def _parse_hierarchy(tokens):
             return names, parents, offsets, channels, end_sites
 
 
-def _rotation_order(chans):
-    return "".join(_ROTATION_CHANNELS[c] for c in chans if c in _ROTATION_CHANNELS)
+def _motion_columns(channel_layout):
+    """Where each joint's channels sit in a motion row: the (N, 3) rotation
+    columns in channel order, {rotation order: its joints} and {joint: its
+    X, Y, Z position columns} for the joints that have position channels."""
+    rotation_cols, orders, position_cols = [], {}, {}
+    start = 0
+    for j, chans in enumerate(channel_layout):
+        rotation_cols.append([start + n for n, c in enumerate(chans) if c in _ROTATION_CHANNELS])
+        order = "".join(_ROTATION_CHANNELS[c] for c in chans if c in _ROTATION_CHANNELS)
+        orders.setdefault(order, []).append(j)
+        if _POSITION_CHANNELS[0] in chans:  # then all three, as _parse_joint_header checked
+            position_cols[j] = [start + chans.index(c) for c in _POSITION_CHANNELS]
+        start += len(chans)
+    return np.array(rotation_cols), orders, position_cols
 
 
 def parse_bvh(text):
@@ -195,23 +209,14 @@ def parse_bvh(text):
 
     motion = _motion_rows(tokens, frame_count, sum(len(c) for c in channels))
     del tokens  # the token list outweighs the motion array; free it first
-    rotations = np.empty((frame_count, skeleton.joint_count, 3))
-    root_translation = np.zeros((frame_count, 3))
-    extra = {}
-    start = 0
-    for j, chans in enumerate(channels):
-        block = motion[:, start : start + len(chans)]
-        start += len(chans)
-        rot_cols = [k for k, c in enumerate(chans) if c in _ROTATION_CHANNELS]
-        angles = np.deg2rad(block[:, rot_cols])
-        rotations[:, j] = matrix_to_axis_angle(euler_to_matrix(angles, _rotation_order(chans)))
-        if _POSITION_CHANNELS[0] in chans:  # then all three, as _parse_joint_header checked
-            translation = block[:, [chans.index(c) for c in _POSITION_CHANNELS]]
-            if j == 0:
-                root_translation = translation
-            else:
-                extra[j] = translation
-    clip = AnimationClip(rotations, root_translation, fps=1.0 / frame_time)
+    rotation_cols, orders, position_cols = _motion_columns(channels)
+    angles = np.deg2rad(motion[:, rotation_cols])
+    matrices = np.empty(angles.shape + (3,))
+    for order, joints in orders.items():
+        matrices[:, joints] = euler_to_matrix(angles[:, joints], order)
+    extra = {j: motion[:, cols] for j, cols in position_cols.items()}
+    root_translation = extra.pop(0, np.zeros((frame_count, 3)))
+    clip = AnimationClip(matrix_to_axis_angle(matrices), root_translation, fps=1.0 / frame_time)
     return BvhDocument(
         skeleton=skeleton,
         channel_layout=tuple(tuple(c) for c in channels),
@@ -251,8 +256,6 @@ def write_bvh(document):
     fixed-point motion values, LF line endings. Deterministic byte output."""
     skel = document.skeleton
     clip = document.clip
-    if clip.joint_count != skel.joint_count:
-        raise ValidationError("clip joint count does not match skeleton")
     children = skel.children()
     lines = ["HIERARCHY"]
     # depth-first with an explicit stack, so any depth writes: a joint's
@@ -284,18 +287,18 @@ def write_bvh(document):
     lines.append("MOTION")
     lines.append(f"Frames: {clip.frame_count}")
     lines.append(f"Frame Time: {_fmt(document.frame_time)}")
+    rotation_cols, orders, position_cols = _motion_columns(document.channel_layout)
+    matrices = batch_axis_angle_to_matrix(clip.rotations)
+    angles = np.empty(clip.rotations.shape)
+    for order, joints in orders.items():
+        angles[:, joints] = matrix_to_euler(matrices[:, joints], order)
+    motion = np.zeros((clip.frame_count, sum(map(len, document.channel_layout))))
+    # continuous channels: past +-180 degrees, not back by 360, lest interpolation spin a joint
+    motion[:, rotation_cols] = np.unwrap(np.rad2deg(angles), period=360.0, axis=0)
     translations = {**document.extra_translations, 0: clip.root_translation}
-    no_translation = np.zeros((clip.frame_count, 3))
-    columns = []  # one (T,) column per channel, in file order
-    for j, chans in enumerate(document.channel_layout):
-        matrices = batch_axis_angle_to_matrix(clip.rotations[:, j])
-        angles = iter(np.rad2deg(matrix_to_euler(matrices, _rotation_order(chans))).T)
-        translation = translations.get(j, no_translation)
-        for c in chans:
-            columns.append(
-                next(angles) if c in _ROTATION_CHANNELS else translation[:, "XYZ".index(c[0])]
-            )
-    for row in np.stack(columns, axis=1):
+    for j, cols in position_cols.items():
+        motion[:, cols] = translations.get(j, 0.0)
+    for row in motion:
         lines.append(" ".join(map(_fmt, row.tolist())))
     return "\n".join(lines) + "\n"
 

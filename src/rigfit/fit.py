@@ -19,7 +19,7 @@ from .rotations import (
     orthogonal_procrustes,
     skew,
 )
-from .skeleton import Pose, clip_from_poses, fk_positions_and_frames
+from .skeleton import AnimationClip, Pose, fk_positions_and_frames
 
 _DIR_EPS = 1e-9
 _STEP_UNDERFLOW = 1e-16  # a damping above 1/_STEP_UNDERFLOW ends the refinement
@@ -61,16 +61,22 @@ class LossTerms(NamedTuple):
 
 @dataclass(frozen=True)
 class FrameFitResult:
-    """One refined frame. stop is one of STOP_REASONS; trials counts the
-    accepted and the rejected trial steps."""
+    """One refined frame: rotations (N, 3), not yet canonicalized, and root
+    translation (3,). stop is one of STOP_REASONS; trials counts the accepted
+    and the rejected trial steps."""
 
-    pose: Pose
+    rotations: np.ndarray
+    root_translation: np.ndarray
     final_loss: float
     iterations_used: int
     loss_terms: LossTerms
     accepted_losses: tuple
     stop: str
     trials: int
+
+    @property
+    def pose(self):
+        return Pose(self.rotations, self.root_translation)
 
 
 def _bone_axes(skeleton):
@@ -406,9 +412,8 @@ def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None
             stop = "damping_exhausted"
             break
 
-    theta_final, root_final = unpack(x)
     return FrameFitResult(
-        pose=Pose(rotations=theta_final, root_translation=root_final),
+        *unpack(x),
         final_loss=terms.total,
         iterations_used=iters,
         loss_terms=terms,
@@ -438,14 +443,14 @@ def fit_sequence(skeleton, trajectory, config=None):
     if not trajectory.mask[0] and not config.fit_root_translation:
         config = replace(config, fit_root_translation=True)
         root_diag = ["root joint masked out: root translation fitted"]
-    geo_rot, geo_root, geo_diag = geometric_init(skeleton, trajectory.positions, trajectory.mask)
-    poses, reports = [], []
+    rotations, roots, geo_diag = geometric_init(skeleton, trajectory.positions, trajectory.mask)
+    reports = []
     for t in range(trajectory.frame_count):
         result = refine_frame(
-            skeleton, trajectory.positions[t], geo_rot[t], geo_rot[t], trajectory.mask, config,
-            root_translation=geo_root[t],
+            skeleton, trajectory.positions[t], rotations[t], rotations[t], trajectory.mask,
+            config, root_translation=roots[t],
         )
-        poses.append(result.pose)
+        rotations[t], roots[t] = result.rotations, result.root_translation  # refined in place
         reports.append(
             {
                 "loss_total": result.loss_terms.total,
@@ -459,4 +464,4 @@ def fit_sequence(skeleton, trajectory, config=None):
                 "diagnostics": root_diag + geo_diag[t],
             }
         )
-    return clip_from_poses(poses, trajectory.fps), reports
+    return AnimationClip(rotations, roots, trajectory.fps), reports

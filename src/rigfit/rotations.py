@@ -6,7 +6,6 @@ Rotations live in two forms: 3x3 proper orthogonal matrices and axis-angle
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.transform import Rotation as _ScipyRotation
 
 from .errors import ValidationError
 
@@ -14,6 +13,7 @@ from .errors import ValidationError
 _TINY_ANGLE = 1e-8
 _SERIES_ANGLE = 1e-2  # the left Jacobian's, where (a - sin a)/a^3 cancels
 _TINY_VECTOR = 1e-9
+_GIMBAL_LOCK = 1e-13  # cos of the middle Euler angle below which it is locked
 
 EULER_ORDERS = ("XYZ", "XZY", "YXZ", "YZX", "ZXY", "ZYX")
 
@@ -205,20 +205,28 @@ def euler_to_matrix(angles, order):
 
 
 def matrix_to_euler(R, order):
-    """Inverse of euler_to_matrix for a (..., 3, 3) stack; at gimbal lock
-    scipy's tie-break applies."""
+    """Inverse of euler_to_matrix for a (..., 3, 3) stack. For the order's axes
+    (i, j, k) and s = +1 on the cyclic orders, -1 on the others: b = atan2(s R[i,k],
+    hypot(R[i,i], R[i,j])), a = atan2(-s R[j,k], R[k,k]), and c from row j of
+    E_i(-a) R = E_j(b) E_k(c), which reproduces R to rounding however near b is to
+    +-pi/2. At gimbal lock (cos b < _GIMBAL_LOCK), a = atan2(s R[k,j], R[j,j])
+    and c comes out 0: scipy's tie-break."""
     order = order.upper()
     if order not in EULER_ORDERS:
         raise ValidationError(f"unsupported Euler order {order!r}")
     R = np.asarray(R, dtype=float)
     if not np.all(is_rotation_matrix(R)):
         raise ValidationError("input is not a rotation matrix")
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # gimbal-lock warning; tie-break documented
-        angles = _ScipyRotation.from_matrix(R.reshape(-1, 3, 3)).as_euler(order)
-    return angles.reshape(R.shape[:-1])
+    i, j, k = ("XYZ".index(axis) for axis in order)
+    s = 1.0 if (j - i) % 3 == 1 else -1.0
+    cos_b = np.hypot(R[..., i, i], R[..., i, j])
+    b = np.arctan2(s * R[..., i, k], cos_b)
+    a = np.where(cos_b < _GIMBAL_LOCK, np.arctan2(s * R[..., k, j], R[..., j, j]),
+                 np.arctan2(-s * R[..., j, k], R[..., k, k]))
+    ca, sa = np.cos(a), s * np.sin(a)
+    c = np.arctan2(s * (ca * R[..., j, i] + sa * R[..., k, i]),
+                   ca * R[..., j, j] + sa * R[..., k, j])
+    return np.stack([a, b, c], axis=-1)
 
 
 def batch_axis_angle_to_matrix(thetas):

@@ -203,24 +203,6 @@ class AnimationClip:
         return self.rotations.shape[1]
 
 
-def clip_from_poses(poses, fps):
-    """A clip of the poses' rows, which are canonical already and are not
-    canonicalized again: canonicalize_axis_angle can move a canonical row by
-    an ulp, so each clip row equals its pose's rows bit for bit."""
-    if not poses:
-        raise ValidationError("AnimationClip needs at least one frame")
-    if not (fps > 0.0):
-        raise ValidationError("AnimationClip.fps must be positive")
-    clip = object.__new__(AnimationClip)
-    for name, rows in (("rotations", [p.rotations for p in poses]),
-                       ("root_translation", [p.root_translation for p in poses])):
-        arr = np.stack(rows)
-        arr.flags.writeable = False
-        object.__setattr__(clip, name, arr)
-    object.__setattr__(clip, "fps", fps)
-    return clip
-
-
 @dataclass(frozen=True)
 class JointTrajectory:
     """T x N grid of world-space joint positions with a joint-validity mask."""

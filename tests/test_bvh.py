@@ -5,10 +5,20 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigfit import AnimationClip, BvhParseError, validate_skeleton
-from rigfit.bvh import BvhDocument, document_from_clip, parse_bvh, write_bvh
-from rigfit.rotations import axis_angle_to_matrix, euler_to_matrix
+from rigfit.bvh import BvhDocument, _fmt, document_from_clip, parse_bvh, write_bvh
+from rigfit.rotations import (
+    EULER_ORDERS,
+    axis_angle_to_matrix,
+    batch_axis_angle_to_matrix,
+    canonicalize_axis_angle,
+    euler_to_matrix,
+    matrix_to_axis_angle,
+    matrix_to_euler,
+)
 from rigfit.skeleton import fk_sequence
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -113,6 +123,25 @@ class TestParseErrors:
     def base(self):
         return read(os.path.join(FIXTURE_DIR, "minimal.bvh"))
 
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-inf"])
+    def test_non_finite_motion_value_names_line(self, literal):
+        # every column, rotation and position, of the root and of a 6-channel child
+        lines = read(os.path.join(FIXTURE_DIR, "six_channel_child.bvh")).splitlines()
+        values = lines[-1].split()
+        assert len(values) == 12
+        for col in range(len(values)):
+            row = " ".join(values[:col] + [literal] + values[col + 1 :])
+            with pytest.raises(BvhParseError, match="non-finite") as e:
+                parse_bvh("\n".join(lines[:-1] + [row]) + "\n")
+            assert e.value.line == len(lines)
+
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-inf"])
+    def test_non_finite_offset_or_frame_time_names_line(self, literal):
+        for old, line in (("-0.450000", 8), ("-0.420000", 12), ("0.033333", 18)):
+            with pytest.raises(BvhParseError, match="non-finite") as e:
+                parse_bvh(self.base().replace(old, literal))
+            assert e.value.line == line
+
     def test_wrong_row_arity_names_line(self):
         text = self.base().replace(
             "0.5 -0.25 0.0 30.0 -10.0 5.0 0.0 45.0 0.0", "0.5 -0.25 0.0 30.0"
@@ -201,3 +230,126 @@ class TestWrite:
         assert doc.skeleton.joint_count == n and list(doc.skeleton.parents[1:]) == list(range(n - 1))
         assert sorted(doc.end_sites) == [n - 1]
         assert write_bvh(doc) == text
+
+
+# interleaved position and rotation channels, five rotation orders, and a
+# 6-channel child; Tip shares the root's order
+MIXED_ORDERS_HIERARCHY = """HIERARCHY
+ROOT Root
+{
+  OFFSET 0.0 0.0 0.0
+  CHANNELS 6 Xposition Yposition Zposition Zrotation Xrotation Yrotation
+  JOINT Slide
+  {
+    OFFSET 0.0 1.0 0.0
+    CHANNELS 6 Yrotation Xposition Zrotation Yposition Xrotation Zposition
+    JOINT Twist
+    {
+      OFFSET 0.5 0.0 0.0
+      CHANNELS 3 Zrotation Yrotation Xrotation
+      End Site
+      {
+        OFFSET 0.0 0.3 0.0
+      }
+    }
+  }
+  JOINT Side
+  {
+    OFFSET -0.5 0.2 0.0
+    CHANNELS 3 Xrotation Zrotation Yrotation
+    JOINT Tip
+    {
+      OFFSET 0.0 -0.4 0.1
+      CHANNELS 3 Zrotation Xrotation Yrotation
+    }
+  }
+  JOINT Last
+  {
+    OFFSET 0.0 0.0 0.7
+    CHANNELS 3 Xrotation Yrotation Zrotation
+  }
+}
+"""
+
+
+def reference_parse(doc_layout, motion):
+    """Rotations (T, N, 3) and {joint: positions} of a motion block, one joint at a time."""
+    rotations, translations, start = [], {}, 0
+    for j, chans in enumerate(doc_layout):
+        block = motion[:, start : start + len(chans)]
+        start += len(chans)
+        rot = [n for n, c in enumerate(chans) if c.endswith("rotation")]
+        order = "".join(chans[n][0] for n in rot)
+        rotations.append(matrix_to_axis_angle(euler_to_matrix(np.deg2rad(block[:, rot]), order)))
+        if "Xposition" in chans:
+            translations[j] = block[:, [chans.index(f"{a}position") for a in "XYZ"]]
+    return canonicalize_axis_angle(np.stack(rotations, axis=1)), translations
+
+
+def reference_motion_lines(doc):
+    """The motion rows of doc as write_bvh prints them, one joint at a time."""
+    translations = {**doc.extra_translations, 0: doc.clip.root_translation}
+    columns = []
+    for j, chans in enumerate(doc.channel_layout):
+        order = "".join(c[0] for c in chans if c.endswith("rotation"))
+        degrees = np.rad2deg(matrix_to_euler(batch_axis_angle_to_matrix(doc.clip.rotations[:, j]),
+                                             order))
+        angles = iter(np.unwrap(degrees, period=360.0, axis=0).T)
+        translation = translations.get(j, np.zeros((doc.clip.frame_count, 3)))
+        for c in chans:
+            columns.append(next(angles) if c.endswith("rotation")
+                           else translation[:, "XYZ".index(c[0])])
+    return [" ".join(map(_fmt, row)) for row in np.stack(columns, axis=1).tolist()]
+
+
+class TestMotionArrays:
+    """parse_bvh and write_bvh convert whole motion blocks; each value is the
+    one a joint-by-joint conversion gives, bit for bit."""
+
+    def test_mixed_orders_match_per_joint_reference(self, rng):
+        frames = 7
+        motion = rng.uniform(-179.0, 179.0, size=(frames, 24))
+        motion[:, [0, 1, 2, 7, 9, 11]] = rng.normal(size=(frames, 6))  # the position columns
+        rows = [" ".join(f"{v:.6f}" for v in row) for row in motion]
+        text = MIXED_ORDERS_HIERARCHY + f"MOTION\nFrames: {frames}\nFrame Time: 0.033333\n"
+        doc = parse_bvh(text + "\n".join(rows) + "\n")
+
+        rotations, translations = reference_parse(doc.channel_layout, np.loadtxt(rows))
+        assert np.array_equal(doc.clip.rotations, rotations)
+        assert np.array_equal(doc.clip.root_translation, translations.pop(0))
+        assert sorted(doc.extra_translations) == sorted(translations) == [1]
+        assert np.array_equal(doc.extra_translations[1], translations[1])
+
+        written = write_bvh(doc).splitlines()
+        assert written[-frames:] == reference_motion_lines(doc)
+        # without its child's translations the 6-channel child writes zeros there
+        bare = BvhDocument(doc.skeleton, doc.channel_layout, doc.end_sites, doc.clip,
+                           doc.frame_time)
+        assert write_bvh(bare).splitlines()[-frames:] == reference_motion_lines(bare)
+
+    def test_turning_root_writes_continuous_channels(self):
+        # one full turn of the root about y in 60 frames: each frame's Euler
+        # angles alone jump by about 354 degrees where the yaw passes 180
+        skeleton = parse_bvh(read(os.path.join(FIXTURE_DIR, "star.bvh"))).skeleton
+        rotations = np.zeros((60, 3, 3))
+        rotations[:, 0, 1] = np.linspace(0.0, 2.0 * np.pi, 60)
+        rotations[:, 1, 0] = np.linspace(-0.3, 0.3, 60)
+        doc = document_from_clip(skeleton, AnimationClip(rotations, np.zeros((60, 3)), fps=30.0))
+        text = write_bvh(doc)
+        motion = np.loadtxt(text.split("Frame Time:")[1].splitlines()[1:])
+        steps = np.abs(np.diff(motion[:, 3:], axis=0))
+        assert steps.max() < 180.0
+        assert motion[:, 5].max() > 300.0  # the root's Yrotation goes on past 180
+        again = parse_bvh(text)
+        assert max_angle_error_deg(doc, again) < 1e-4
+        assert write_bvh(again) == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(-4.0, 4.0)] * 3), min_size=2, max_size=40),
+           st.sampled_from(EULER_ORDERS))
+    def test_unwrapping_moves_no_rotation(self, thetas, order):
+        # write_bvh's channels: each frame's Euler angles, unwrapped along the frames
+        R = batch_axis_angle_to_matrix(np.array(thetas))
+        degrees = np.unwrap(np.rad2deg(matrix_to_euler(R, order)), period=360.0, axis=0)
+        np.testing.assert_allclose(euler_to_matrix(np.deg2rad(degrees), order), R,
+                                   rtol=0.0, atol=1e-12)

@@ -836,7 +836,7 @@ class TestFitSequence:
         return skn, traj, fitted, reports
 
     def test_clip_rows_equal_refined_poses_bitwise(self, rng, monkeypatch):
-        # each fitted frame is canonicalized once, by its refined Pose
+        # each fitted frame is canonicalized once, as its refined Pose canonicalizes it
         import rigfit.fit as fit_module
 
         poses = []

@@ -1,10 +1,17 @@
 """Axis-angle / matrix / Euler conversions and the Procrustes sub-solver."""
 
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rigfit
+from rigfit.bvh import _fmt
 from rigfit.errors import ValidationError
 from rigfit.rotations import (
     axis_angle_to_matrix,
@@ -409,3 +416,73 @@ class TestStackedConversions:
             matrix_to_axis_angle(R)
         with pytest.raises(ValidationError):
             matrix_to_euler(R, "XYZ")
+
+
+def scipy_euler(R, order):
+    """scipy's extraction, which rigfit used before its closed form: the oracle."""
+    from scipy.spatial.transform import Rotation
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns at gimbal lock
+        return Rotation.from_matrix(R.reshape(-1, 3, 3)).as_euler(order).reshape(R.shape[:-1])
+
+
+def exact_lock_matrices(order, a, c, sign):
+    """E_i(a) Q E_k(c) for the order's axes (i, j, k), Q an exact quarter turn
+    about j: the middle angle is +-90 degrees and R[i, k] is exactly +-1."""
+    i, j, k = ("XYZ".index(axis) for axis in order)
+    e = np.eye(3)
+    Q = np.rint(axis_angle_to_matrix(sign * np.pi / 2 * e[j]))
+    return (batch_axis_angle_to_matrix(np.multiply.outer(a, e[i])) @ Q
+            @ batch_axis_angle_to_matrix(np.multiply.outer(c, e[k])))
+
+
+_LOCK_ANGLES = st.lists(st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+                        min_size=1, max_size=6)
+
+
+class TestEulerExtraction:
+    """The closed-form matrix_to_euler against scipy, and near gimbal lock."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta_stacks(), _LOCK_ANGLES, st.sampled_from(EULER_ORDERS),
+           st.sampled_from([1.0, -1.0]))
+    def test_matches_scipy(self, thetas, lock_angles, order, sign):
+        a, c = np.array(lock_angles).T
+        R = np.concatenate([batch_axis_angle_to_matrix(thetas),
+                            exact_lock_matrices(order, a, c, sign)])
+        i, j = "XYZ".index(order[0]), "XYZ".index(order[1])
+        cos_b = np.hypot(R[:, i, i], R[:, i, j])
+        # scipy counts cos b < 1e-7 as locked and drops c there, so that its
+        # angles reproduce R only to about cos b; rigfit keeps reproducing R
+        # down to cos b = 1e-13. Between the two bounds they differ by design.
+        R = R[(cos_b < 1e-13) | (cos_b > 1e-6)]
+        ours, theirs = matrix_to_euler(R, order), scipy_euler(R, order)
+        # +-pi name the same angle, and either side may return either
+        np.testing.assert_allclose((ours - theirs + np.pi) % (2 * np.pi) - np.pi, 0.0,
+                                   rtol=0.0, atol=1e-12)
+        for x, y in zip(np.rad2deg(ours).ravel(), np.rad2deg(theirs).ravel()):
+            assert _fmt(x) == _fmt(y) or {_fmt(x), _fmt(y)} == {"180.000000", "-180.000000"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(_LOCK_ANGLES, st.sampled_from(EULER_ORDERS), st.sampled_from([1.0, -1.0]),
+           st.one_of(st.just(0.0), st.sampled_from([10.0**-p for p in range(1, 17)]),
+                     st.floats(0.0, 1e-3)))
+    def test_round_trip_near_lock(self, lock_angles, order, sign, distance):
+        # the middle angle within `distance` of +-90 degrees, as euler_to_matrix
+        # builds it and as Rodrigues' formula rounds the same rotations
+        a, c = np.array(lock_angles).T
+        b = np.full(a.shape, sign * (np.pi / 2 - distance))
+        R = euler_to_matrix(np.stack([a, b, c], axis=-1), order)
+        R = np.concatenate([R, batch_axis_angle_to_matrix(matrix_to_axis_angle(R)),
+                            exact_lock_matrices(order, a, c, sign)])
+        back = euler_to_matrix(matrix_to_euler(R, order), order)
+        np.testing.assert_allclose(back, R, rtol=0.0, atol=1e-12)
+
+    def test_cli_import_loads_no_scipy_spatial(self):
+        code = ("import sys, rigfit.cli; "
+                "print([m for m in sys.modules if m.startswith('scipy.spatial')])")
+        src = os.path.dirname(os.path.dirname(rigfit.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "[]"
