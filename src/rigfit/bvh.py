@@ -6,16 +6,16 @@ only at this boundary. End Sites are kept as leaf metadata, not joints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain
 
 import numpy as np
 
 from .errors import BvhParseError, ValidationError
-from .rotations import (
+from .rotations import (  # the private conversions skip the rotation check: the
+    _matrix_to_axis_angle,  # matrices here are built from finite angles
+    _matrix_to_euler,
     batch_axis_angle_to_matrix,
     euler_to_matrix,
-    matrix_to_axis_angle,
-    matrix_to_euler,
 )
 from .skeleton import AnimationClip, Skeleton, validate_skeleton
 
@@ -69,46 +69,46 @@ def _number(tok, line):
 
 
 class _Tokens:
+    """The header's tokens, split a line at a time as they are read: the
+    motion lines are left whole for _motion_rows."""
+
     def __init__(self, text):
-        self.items = []  # (token, line)
-        for ln, line in enumerate(text.splitlines(), start=1):
-            for tok in line.split():
-                self.items.append((tok, ln))
-        self.pos = 0
+        self.lines = text.splitlines()
+        self.ln = self.item_line = self.pos = 0  # lines split; the line of items, next index
+        self.items = []  # the tokens of the last line split that had any
 
     @property
     def line(self):
-        if self.pos < len(self.items):
-            return self.items[self.pos][1]
-        return self.items[-1][1] if self.items else 0
-
-    def peek(self):
-        if self.pos >= len(self.items):
-            raise BvhParseError("unexpected end of file", self.line)
-        return self.items[self.pos][0]
+        """Line of the next token, or of the last one at the end of the text."""
+        while self.pos == len(self.items) and self.ln < len(self.lines):
+            self.ln += 1
+            row = self.lines[self.ln - 1].split()
+            if row:
+                self.items, self.item_line, self.pos = row, self.ln, 0
+        return self.item_line
 
     def next(self):
-        tok = self.peek()
+        line = self.line
+        if self.pos == len(self.items):
+            raise BvhParseError("unexpected end of file", line)
         self.pos += 1
-        return tok
+        return self.items[self.pos - 1]
 
     def expect(self, *expected):
         tok = self.next()
         if tok not in expected:
-            raise BvhParseError(
-                f"expected {' / '.join(expected)}, got {tok!r}", self.items[self.pos - 1][1]
-            )
+            raise BvhParseError(f"expected {' / '.join(expected)}, got {tok!r}", self.item_line)
         return tok
 
     def number(self):
-        return _number(self.next(), self.items[self.pos - 1][1])
+        return _number(self.next(), self.item_line)
 
     def integer(self):
         tok = self.next()
         try:
             return int(tok)
         except ValueError:
-            raise BvhParseError(f"expected integer, got {tok!r}", self.items[self.pos - 1][1])
+            raise BvhParseError(f"expected integer, got {tok!r}", self.item_line)
 
 
 def _parse_joint_header(tokens, names, parents, offsets, channels, parent):
@@ -161,7 +161,7 @@ def _parse_hierarchy(tokens):
                 open_joints.pop()
             else:
                 raise BvhParseError(
-                    f"expected JOINT, End Site or '}}', got {tok!r}", tokens.items[tokens.pos - 1][1]
+                    f"expected JOINT, End Site or '}}', got {tok!r}", tokens.item_line
                 )
         if not open_joints:
             return names, parents, offsets, channels, end_sites
@@ -208,7 +208,7 @@ def parse_bvh(text):
         raise BvhParseError("frame time must be positive")
 
     motion = _motion_rows(tokens, frame_count, sum(len(c) for c in channels))
-    del tokens  # the token list outweighs the motion array; free it first
+    del tokens  # its lines copy the motion text; free them first
     rotation_cols, orders, position_cols = _motion_columns(channels)
     angles = np.deg2rad(motion[:, rotation_cols])
     matrices = np.empty(angles.shape + (3,))
@@ -216,7 +216,7 @@ def parse_bvh(text):
         matrices[:, joints] = euler_to_matrix(angles[:, joints], order)
     extra = {j: motion[:, cols] for j, cols in position_cols.items()}
     root_translation = extra.pop(0, np.zeros((frame_count, 3)))
-    clip = AnimationClip(matrix_to_axis_angle(matrices), root_translation, fps=1.0 / frame_time)
+    clip = AnimationClip(_matrix_to_axis_angle(matrices), root_translation, fps=1.0 / frame_time)
     return BvhDocument(
         skeleton=skeleton,
         channel_layout=tuple(tuple(c) for c in channels),
@@ -228,21 +228,39 @@ def parse_bvh(text):
 
 
 def _motion_rows(tokens, frame_count, row_width):
-    """The remaining tokens as a (frame_count, row_width) array, one row per line."""
+    """The rest of the text as a (frame_count, row_width) array, one row per non-blank
+    line from any tokens after the Frame Time value on, each read by one float pass."""
     motion = np.empty((frame_count, row_width))
-    t = 0
-    for line, group in groupby(tokens.items[tokens.pos :], key=lambda item: item[1]):
-        row = [tok for tok, _ in group]
+    row_lines = []  # the line of each row read
+
+    def check(message=None, line=None):
+        # the first fault in file order: a bad value of a row read so far, named by _number
+        bad = np.flatnonzero(~np.isfinite(motion[: len(row_lines)]).all(axis=1))
+        if len(bad):
+            ln = row_lines[bad[0]]
+            for tok in tokens.lines[ln - 1].split()[-row_width:]:  # the row ends its line
+                _number(tok, ln)
+        if message:
+            raise BvhParseError(message, line)
+
+    rest = ((n, line.split()) for n, line in enumerate(tokens.lines[tokens.ln :], tokens.ln + 1))
+    for ln, row in chain([(tokens.item_line, tokens.items[tokens.pos :])], rest):
+        if not row:
+            continue
+        t = len(row_lines)
         if t == frame_count:
-            raise BvhParseError(
-                f"motion data has more rows than the declared {frame_count}", line
-            )
+            check(f"motion data has more rows than the declared {frame_count}", ln)
         if len(row) != row_width:
-            raise BvhParseError(f"motion row has {len(row)} values, expected {row_width}", line)
-        motion[t] = [_number(tok, line) for tok in row]
-        t += 1
-    if t < frame_count:
-        raise BvhParseError(f"motion data has {t} of {frame_count} rows", tokens.items[-1][1])
+            check(f"motion row has {len(row)} values, expected {row_width}", ln)
+        try:
+            motion[t] = list(map(float, row))
+        except ValueError:
+            motion[t] = np.nan  # for check to name the bad token
+        row_lines.append(ln)
+    if len(row_lines) < frame_count:  # named at the line of the last token
+        check(f"motion data has {len(row_lines)} of {frame_count} rows",
+              (row_lines or [tokens.item_line])[-1])
+    check()
     return motion
 
 
@@ -291,15 +309,16 @@ def write_bvh(document):
     matrices = batch_axis_angle_to_matrix(clip.rotations)
     angles = np.empty(clip.rotations.shape)
     for order, joints in orders.items():
-        angles[:, joints] = matrix_to_euler(matrices[:, joints], order)
+        angles[:, joints] = _matrix_to_euler(matrices[:, joints], order)
     motion = np.zeros((clip.frame_count, sum(map(len, document.channel_layout))))
     # continuous channels: past +-180 degrees, not back by 360, lest interpolation spin a joint
     motion[:, rotation_cols] = np.unwrap(np.rad2deg(angles), period=360.0, axis=0)
     translations = {**document.extra_translations, 0: clip.root_translation}
     for j, cols in position_cols.items():
         motion[:, cols] = translations.get(j, 0.0)
-    for row in motion:
-        lines.append(" ".join(map(_fmt, row.tolist())))
+    row_format = " ".join(["%.6f"] * motion.shape[1])  # one format per row, not per value
+    rows = "\n".join(row_format % tuple(row) for row in motion.tolist())
+    lines.append(rows.replace("-0.000000", "0.000000"))  # all tokens are %.6f: whole ones match
     return "\n".join(lines) + "\n"
 
 

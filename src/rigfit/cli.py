@@ -20,7 +20,7 @@ from .fit import STOP_REASONS, FitConfig, fit_sequence
 from .metrics import cd_skeleton_sequence, mpjpe, mpjve
 from .normalize import remove_global_translation, sequence_normalize
 from .skeleton import AnimationClip, JointTrajectory, fk_sequence
-from .trajectory import load_trajectory, save_trajectory
+from .trajectory import load_trajectory, save_trajectory, write_json
 
 log = logging.getLogger("rigfit")
 
@@ -28,6 +28,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
+# the per-frame fields of a fit --report, in the order written
+REPORT_KEYS = ("loss_pos", "loss_prior", "loss_twist", "iters", "stop", "trials")
 
 
 def _configure_logging():
@@ -151,23 +153,9 @@ def cmd_fit(args):
     mpjpe_fk = mpjpe(fk, reordered)
     log.info("fit wrote %s (FK MPJPE %.3g)", args.out, mpjpe_fk)
     if args.report:
-        report = {
-            "frames": [
-                {
-                    "loss_pos": r["loss_pos"],
-                    "loss_prior": r["loss_prior"],
-                    "loss_twist": r["loss_twist"],
-                    "iters": r["iters"],
-                    "stop": r["stop"],
-                    "trials": r["trials"],
-                }
-                for r in reports
-            ],
-            "mpjpe_fk": mpjpe_fk,
-        }
+        frames = [{key: r[key] for key in REPORT_KEYS} for r in reports]
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh)
-            fh.write("\n")
+            write_json(fh, {"frames": frames, "mpjpe_fk": mpjpe_fk})
     return EXIT_OK
 
 
@@ -221,8 +209,7 @@ def cmd_eval(args):
             # "all" still reports the joint metrics of a pair cds cannot score
             log.warning("cds skipped: %s", missing)
             report["cds"] = report["cds_per_frame"] = None
-    json.dump(report, sys.stdout)
-    sys.stdout.write("\n")
+    write_json(sys.stdout, report)
     return EXIT_OK
 
 
@@ -233,15 +220,11 @@ def cmd_normalize(args):
     save_trajectory(args.out, traj, names)
     if args.transform:
         with open(args.transform, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "center": transform.center.tolist(),
-                    "scale": transform.scale,
-                    "root_positions": roots.tolist(),
-                },
-                fh,
-            )
-            fh.write("\n")
+            write_json(fh, {
+                "center": transform.center.tolist(),
+                "scale": transform.scale,
+                "root_positions": roots.tolist(),
+            })
     return EXIT_OK
 
 

@@ -67,6 +67,11 @@ def matrix_to_axis_angle(R):
     R = np.asarray(R, dtype=float)
     if not np.all(is_rotation_matrix(R)):
         raise ValidationError("input is not a rotation matrix")
+    return _matrix_to_axis_angle(R)
+
+
+def _matrix_to_axis_angle(R):
+    """matrix_to_axis_angle of a float stack known to hold rotations: no check."""
     cos_a = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
     angle = np.arccos(cos_a)
     vee = 0.5 * (R - np.swapaxes(R, -1, -2))[..., [2, 0, 1], [1, 2, 0]]
@@ -211,12 +216,17 @@ def matrix_to_euler(R, order):
     E_i(-a) R = E_j(b) E_k(c), which reproduces R to rounding however near b is to
     +-pi/2. At gimbal lock (cos b < _GIMBAL_LOCK), a = atan2(s R[k,j], R[j,j])
     and c comes out 0: scipy's tie-break."""
-    order = order.upper()
-    if order not in EULER_ORDERS:
-        raise ValidationError(f"unsupported Euler order {order!r}")
     R = np.asarray(R, dtype=float)
     if not np.all(is_rotation_matrix(R)):
         raise ValidationError("input is not a rotation matrix")
+    return _matrix_to_euler(R, order)
+
+
+def _matrix_to_euler(R, order):
+    """matrix_to_euler of a float stack known to hold rotations: no rotation check."""
+    order = order.upper()
+    if order not in EULER_ORDERS:
+        raise ValidationError(f"unsupported Euler order {order!r}")
     i, j, k = ("XYZ".index(axis) for axis in order)
     s = 1.0 if (j - i) % 3 == 1 else -1.0
     cos_b = np.hypot(R[..., i, i], R[..., i, j])

@@ -225,8 +225,8 @@ class JointTrajectory:
             raise ValidationError("JointTrajectory.mask must have >= 1 valid joint")
         if not np.all(np.isfinite(pos[:, mask, :])):
             raise ValidationError("JointTrajectory has non-finite valid positions")
-        if not (self.fps > 0.0):
-            raise ValidationError("JointTrajectory.fps must be positive")
+        if not (0.0 < self.fps < np.inf):  # an infinite rate makes every velocity inf or nan
+            raise ValidationError("JointTrajectory.fps must be positive and finite")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "mask", mask)
         pos.flags.writeable = False

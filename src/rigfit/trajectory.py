@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -45,6 +46,9 @@ def trajectory_from_dict(data):
         raise TrajectoryFormatError("frames are not a rectangular TxNx3 grid") from exc
     if frames.ndim != 3 or frames.shape[2] != 3:
         raise TrajectoryFormatError("frames are not a rectangular TxNx3 grid")
+    values = chain([data["fps"]], chain.from_iterable(chain.from_iterable(data["frames"])))
+    if not set(map(type, values)) <= {int, float}:  # bool is an int, but not a JSON number
+        raise TrajectoryFormatError("fps and frame coordinates must be JSON numbers")
     if frames.shape[1] != len(names):
         raise TrajectoryFormatError("joint_names length does not match frames")
     mask = data.get("mask")
@@ -62,10 +66,14 @@ def trajectory_from_dict(data):
     return traj, names
 
 
+def write_json(fh, obj):
+    """obj as one line of JSON, by json.dumps: its C encoder, not json.dump's Python one."""
+    fh.write(json.dumps(obj) + "\n")
+
+
 def save_trajectory(path, trajectory, joint_names):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trajectory_to_dict(trajectory, joint_names), fh)
-        fh.write("\n")
+        write_json(fh, trajectory_to_dict(trajectory, joint_names))
 
 
 def load_trajectory(path):

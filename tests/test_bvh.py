@@ -2,6 +2,7 @@
 
 import glob
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigfit import AnimationClip, BvhParseError, validate_skeleton
-from rigfit.bvh import BvhDocument, _fmt, document_from_clip, parse_bvh, write_bvh
+from rigfit.bvh import BvhDocument, document_from_clip, parse_bvh, write_bvh
 from rigfit.rotations import (
     EULER_ORDERS,
     axis_angle_to_matrix,
@@ -119,6 +120,12 @@ class TestParse:
         assert doc.clip.frame_count == 2
 
 
+# the motion block of minimal.bvh, lines 18 to 20
+FRAME_TIME = "Frame Time: 0.033333"
+ROW0 = "0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0"
+ROW1 = "0.5 -0.25 0.0 30.0 -10.0 5.0 0.0 45.0 0.0"
+
+
 class TestParseErrors:
     def base(self):
         return read(os.path.join(FIXTURE_DIR, "minimal.bvh"))
@@ -141,6 +148,57 @@ class TestParseErrors:
             with pytest.raises(BvhParseError, match="non-finite") as e:
                 parse_bvh(self.base().replace(old, literal))
             assert e.value.line == line
+
+    @pytest.mark.parametrize("old, new, message", [
+        (ROW1, "0.5 -0.25 0.0 30.0 abc 5.0 0.0 45.0 0.0", "line 20: non-numeric literal 'abc'"),
+        (ROW1, "0.5 -0.25 0.0 30.0 nan 5.0 0.0 45.0 0.0", "line 20: non-finite literal 'nan'"),
+        (ROW1, "0.5 -0.25 0.0 30.0 inf 5.0 0.0 45.0 0.0", "line 20: non-finite literal 'inf'"),
+        (ROW1, "0.5 -0.25 0.0 30.0 -inf 5.0 0.0 45.0 0.0", "line 20: non-finite literal '-inf'"),
+        (ROW1, "0.5 -0.25 0.0 30.0 1e999 5.0 0.0 45.0 0.0",
+         "line 20: non-finite literal '1e999'"),
+        (ROW1, "0.5 nan 0.0 abc -10.0 5.0 0.0 45.0 0.0", "line 20: non-finite literal 'nan'"),
+        (ROW0 + "\n" + ROW1, ROW0.replace("0.0", "nan", 1) + "\n0.5 -0.25",
+         "line 19: non-finite literal 'nan'"),
+        (ROW0 + "\n" + ROW1, "abc " + ROW0[4:] + "\n" + ROW1 + "\n" + ROW1,
+         "line 19: non-numeric literal 'abc'"),
+        (ROW1, ROW1[:-4], "line 20: motion row has 8 values, expected 9"),
+        (ROW1, ROW1 + " 1.0", "line 20: motion row has 10 values, expected 9"),
+        (ROW1, ROW1 + "\n" + ROW1, "line 21: motion data has more rows than the declared 2"),
+        (ROW1 + "\n", "", "line 19: motion data has 1 of 2 rows"),
+        (ROW0 + "\n" + ROW1 + "\n", "\n \n\t\n", "line 18: motion data has 0 of 2 rows"),
+        (ROW0 + "\n" + ROW1, "\n" + ROW0 + "\n\n  \n1.0",
+         "line 23: motion row has 1 values, expected 9"),
+        (FRAME_TIME, FRAME_TIME + " 1.0", "line 18: motion row has 1 values, expected 9"),
+        (FRAME_TIME + "\n" + ROW0, FRAME_TIME + " nan" + ROW0[3:],
+         "line 18: non-finite literal 'nan'"),
+        (FRAME_TIME + "\n" + ROW0, FRAME_TIME + " " + ROW0 + " " + ROW0,
+         "line 18: motion row has 18 values, expected 9"),
+    ], ids=["bad-token", "nan", "inf", "-inf", "1e999", "nan-before-bad-token",
+            "nan-before-short-row", "bad-token-before-extra-row", "short-row", "long-row",
+            "extra-row", "missing-row", "no-rows-trailing-blanks", "blank-lines-then-short-row",
+            "after-frame-time-short", "after-frame-time-nan", "after-frame-time-long"])
+    def test_malformed_motion_names_first_fault_and_line(self, old, new, message):
+        # the message and line a value-by-value read gives: the first fault in
+        # file order, counting blank lines, with CRLF line ends as with LF
+        text = self.base().replace(old, new)
+        assert text != self.base()
+        for ends in ("\n", "\r\n"):
+            with pytest.raises(BvhParseError) as e:
+                parse_bvh(text.replace("\n", ends))
+            assert str(e.value) == message
+            assert e.value.line == int(message.split(":")[0][len("line "):])
+
+    @pytest.mark.parametrize("old, new", [
+        (ROW0 + "\n", "\n" + ROW0 + "\n\n  \n"),
+        (FRAME_TIME + "\n" + ROW0, FRAME_TIME + " " + ROW0),
+        (ROW1, " \t".join(ROW1.split()) + "\t"),
+    ], ids=["blank-lines", "row-after-frame-time", "tabs"])
+    def test_motion_layouts_that_parse(self, old, new):
+        expected = write_bvh(parse_bvh(self.base()))
+        text = self.base().replace(old, new)
+        assert text != self.base()
+        for ends in ("\n", "\r\n"):
+            assert write_bvh(parse_bvh(text.replace("\n", ends))) == expected
 
     def test_wrong_row_arity_names_line(self):
         text = self.base().replace(
@@ -299,7 +357,23 @@ def reference_motion_lines(doc):
         for c in chans:
             columns.append(next(angles) if c.endswith("rotation")
                            else translation[:, "XYZ".index(c[0])])
-    return [" ".join(map(_fmt, row)) for row in np.stack(columns, axis=1).tolist()]
+    return [" ".join(map(per_value_fmt, row)) for row in np.stack(columns, axis=1).tolist()]
+
+
+def per_value_fmt(v):
+    """One motion value as write_bvh prints it: 6 decimals, zero unsigned."""
+    out = f"{v:.6f}"
+    return "0.000000" if out == "-0.000000" else out
+
+
+# near zero on both sides of the rounding to 6 decimals, decimal ties, and
+# values whose rounding carries into the integer part
+_MOTION_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 4e-7, -4e-7, 5e-7, -5e-7, 6e-7, -6e-7, 5e-6, -2.5e-6,
+                     0.1234565, -0.1234565, 179.9999995, -179.9999995, 1e6, -1e6]),
+    st.floats(-1e-5, 1e-5),
+    st.floats(-1e6, 1e6),
+)
 
 
 class TestMotionArrays:
@@ -327,6 +401,23 @@ class TestMotionArrays:
                            doc.frame_time)
         assert write_bvh(bare).splitlines()[-frames:] == reference_motion_lines(bare)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda t: st.tuples(
+        st.lists(st.tuples(*[_MOTION_VALUES] * 6), min_size=t, max_size=t),
+        st.lists(st.tuples(*[st.sampled_from([0.0, -1e-9, 1e-9, -2e-8, 0.3])] * 9),
+                 min_size=t, max_size=t))))
+    def test_row_format_matches_per_value_reference(self, motion):
+        # position channels carry values to the motion text as they are;
+        # rotations near zero give Euler angles that print as -0.000000
+        positions, rotations = (np.array(m) for m in motion)
+        frames = len(positions)
+        rig = parse_bvh(MIXED_ORDERS_HIERARCHY + "MOTION\nFrames: 1\nFrame Time: 0.1\n"
+                        + " ".join(["0"] * 24) + "\n")
+        clip = AnimationClip(np.resize(rotations, (frames, 6, 3)), positions[:, :3], fps=10.0)
+        doc = BvhDocument(rig.skeleton, rig.channel_layout, {}, clip, 0.1,
+                          {1: positions[:, 3:]})
+        assert write_bvh(doc).splitlines()[-frames:] == reference_motion_lines(doc)
+
     def test_turning_root_writes_continuous_channels(self):
         # one full turn of the root about y in 60 frames: each frame's Euler
         # angles alone jump by about 354 degrees where the yaw passes 180
@@ -353,3 +444,22 @@ class TestMotionArrays:
         degrees = np.unwrap(np.rad2deg(matrix_to_euler(R, order)), period=360.0, axis=0)
         np.testing.assert_allclose(euler_to_matrix(np.deg2rad(degrees), order), R,
                                    rtol=0.0, atol=1e-12)
+
+
+def test_parse_peak_memory_30_joints_2000_frames(rng):
+    # motion is converted a line at a time and never held as one token per
+    # value (186,000 here), which takes 24.7 to 26.0 MB at this size
+    n, frames = 30, 2000
+    skeleton = validate_skeleton([f"j{i}" for i in range(n)], [-1] + [i // 2 for i in range(n - 1)],
+                                 rng.normal(size=(n, 3)))
+    clip = AnimationClip(rng.uniform(-1.0, 1.0, size=(frames, n, 3)),
+                         rng.normal(size=(frames, 3)), fps=30.0)
+    text = write_bvh(document_from_clip(skeleton, clip))
+    tracemalloc.start()
+    try:
+        doc = parse_bvh(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc.clip.frame_count == frames
+    assert peak < 0.9 * 24.7e6, peak

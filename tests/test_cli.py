@@ -435,6 +435,20 @@ class TestNormalize:
         assert len(t["center"]) == 3
         assert len(t["root_positions"]) == 4
 
+    @pytest.mark.parametrize("key, value", [("fps", True), ("fps", "30"), ("frame", True),
+                                            ("frame", "1.5")])
+    def test_non_number_exit_2(self, tmp_path, caplog, key, value):
+        _, js = synth_pair(tmp_path)
+        doc = json.load(open(js))
+        if key == "fps":
+            doc["fps"] = value
+        else:
+            doc["frames"][0][0][1] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("normalize", "--in", str(bad), "--out", str(tmp_path / "y.json")) == 2
+        assert "must be JSON numbers" in caplog.text
+
     def test_missing_input_exit_3(self, tmp_path):
         assert run("normalize", "--in", str(tmp_path / "x.json"),
                    "--out", str(tmp_path / "y.json")) == 3

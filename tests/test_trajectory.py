@@ -53,6 +53,20 @@ class TestFileRoundTrip:
         assert raw["v"] == SCHEMA_VERSION
 
 
+class TestJsonBytes:
+    def test_save_matches_json_dump(self, rng, tmp_path):
+        # json.dumps and json.dump encode alike, the C encoder and the Python one
+        positions = rng.normal(size=(5, 4, 3)) * np.array([1e-300, 1.0, 1e300])
+        positions[0, 0] = [-0.0, 0.1, 1e16]
+        traj = JointTrajectory(positions=positions, mask=[True, False, True, True], fps=1 / 3)
+        names = ["a", "b\u00e9", "c\"q", "d\n"]
+        save_trajectory(tmp_path / "saved.json", traj, names)
+        with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
+            json.dump(trajectory_to_dict(traj, names), fh)
+            fh.write("\n")
+        assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
+
 class TestSchemaErrors:
     def base(self, rng):
         return trajectory_to_dict(sample_traj(rng), ["a", "b", "c", "d"])
@@ -107,6 +121,29 @@ class TestSchemaErrors:
         data[key] = value
         with pytest.raises(TrajectoryFormatError, match=message):
             trajectory_from_dict(data)
+
+    @pytest.mark.parametrize("key, value", [
+        ("fps", True), ("fps", "30"), ("fps", None), ("fps", [30]), ("fps", float("inf")),
+        ("frame", True), ("frame", "1.5"), ("frame", None), ("frame", [1.5]),
+    ])
+    def test_non_numbers_rejected(self, rng, key, value):
+        # bool is an int to Python, numpy would read "1.5" as 1.5, and json
+        # reads Infinity; JSON numbers are the only coordinates and frame rates
+        data = self.base(rng)
+        if key == "fps":
+            data["fps"] = value
+        else:
+            data["frames"][1][2][0] = value
+        with pytest.raises(TrajectoryFormatError):
+            trajectory_from_dict(data)
+
+    def test_integer_numbers_accepted(self, rng):
+        data = self.base(rng)
+        data["fps"] = 30
+        data["frames"][0][0] = [0, 1, -2]
+        traj, _ = trajectory_from_dict(data)
+        assert traj.fps == 30.0
+        assert traj.positions[0, 0].tolist() == [0.0, 1.0, -2.0]
 
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "bad.json"
