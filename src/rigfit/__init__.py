@@ -1,13 +1,15 @@
 """rigfit: rotation-based skeletal animation from 3D joint trajectories.
 
 Library layout:
-  skeleton    kinematic tree model + forward kinematics
+  skeleton    kinematic tree model + forward kinematics, rest pose
   rotations   axis-angle / matrix / Euler conversions, Procrustes alignment
   bvh         BVH parser and canonical writer
-  normalize   rest-pose and sequence normalization into [-1, 1]^3
+  normalize   rest-pose and sequence normalization into [-1, 1]^3, from the
+              min/max of the points
   fit         two-stage IK (geometric init + twist-regularized refinement)
-  metrics     MPJPE, MPJVE, masked L1, skeleton Chamfer distance
-  trajectory  JSON trajectory carrier
+  metrics     MPJPE, MPJVE, masked L1, and the skeleton Chamfer distance,
+              whose one entry is cd_skeleton on SkeletonInstances
+  trajectory  JSON trajectory carrier (masked non-finite coordinates as 0.0)
   cli         command-line driver
 """
 
@@ -24,7 +26,6 @@ from .skeleton import (
     JointTrajectory,
     Pose,
     Skeleton,
-    bone_segments,
     fk_sequence,
     forward_kinematics,
     rest_pose_positions,
@@ -43,7 +44,6 @@ __all__ = [
     "SkeletonError",
     "TrajectoryFormatError",
     "ValidationError",
-    "bone_segments",
     "fit_sequence",
     "fk_sequence",
     "forward_kinematics",

@@ -229,8 +229,9 @@ def parse_bvh(text):
 
 def _motion_rows(tokens, frame_count, row_width):
     """The rest of the text as a (frame_count, row_width) array, one row per non-blank
-    line from any tokens after the Frame Time value on, each read by one float pass."""
-    motion = np.empty((frame_count, row_width))
+    line from any tokens after the Frame Time value on, each read by one float pass.
+    The array holds no more rows than lines are left, whatever frame_count declares."""
+    motion = np.empty((min(frame_count, len(tokens.lines) - tokens.ln + 1), row_width))
     row_lines = []  # the line of each row read
 
     def check(message=None, line=None):
@@ -322,15 +323,13 @@ def write_bvh(document):
     return "\n".join(lines) + "\n"
 
 
-def document_from_clip(skeleton, clip, end_sites=None, rotation_order="ZXY"):
+def document_from_clip(skeleton, clip, end_sites=None):
     """Wrap a freshly fitted clip as a writable document.
 
     The root gets 6 channels (positions first), children 3 rotation channels,
-    all with the same rotation order (default ZXY).
+    all in ZXY order.
     """
-    rot_channels = tuple(f"{axis}rotation" for axis in rotation_order.upper())
-    if len(rot_channels) != 3:
-        raise ValidationError("rotation order must name three axes")
+    rot_channels = ("Zrotation", "Xrotation", "Yrotation")
     layout = [_POSITION_CHANNELS + rot_channels]
     layout += [rot_channels] * (skeleton.joint_count - 1)
     return BvhDocument(

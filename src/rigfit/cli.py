@@ -17,7 +17,7 @@ import numpy as np
 from .bvh import parse_bvh, write_bvh
 from .errors import ValidationError
 from .fit import STOP_REASONS, FitConfig, fit_sequence
-from .metrics import cd_skeleton_sequence, mpjpe, mpjve
+from .metrics import SkeletonInstance, cd_skeleton, mpjpe, mpjve
 from .normalize import remove_global_translation, sequence_normalize
 from .skeleton import AnimationClip, JointTrajectory, fk_sequence
 from .trajectory import load_trajectory, save_trajectory, write_json
@@ -53,17 +53,12 @@ def _read_text(path):
 
 
 def _load_side(path):
-    """Load a BVH or trajectory JSON evaluation input.
-
-    Returns (trajectory, joint_names, parents or None). BVH inputs run
-    through forward kinematics first.
-    """
+    """Load a BVH or trajectory JSON evaluation input as (trajectory, parents
+    or None). BVH inputs run through forward kinematics first."""
     if path.endswith(".bvh"):
         doc = parse_bvh(_read_text(path))
-        traj = fk_sequence(doc.skeleton, doc.clip)
-        return traj, list(doc.skeleton.joint_names), doc.skeleton.parents
-    traj, names = load_trajectory(path)
-    return traj, names, None
+        return fk_sequence(doc.skeleton, doc.clip), doc.skeleton.parents
+    return load_trajectory(path)[0], None
 
 
 def _normalize_side(traj):
@@ -91,14 +86,14 @@ def _valid_bones(traj, parents):
     return traj.positions[:, mask], parents
 
 
-def _warn_early_stops(reports, shown=5):
+def _warn_early_stops(reports):
     """One warning line counting, per stop reason, the frames whose refinement
-    ended before the gradient test passed, with the first few frame indices."""
+    ended before the gradient test passed, with the first five frame indices."""
     early = {reason: [t for t, r in enumerate(reports) if r["stop"] == reason]
              for reason in STOP_REASONS if reason != "grad_tol"}
     parts = [
-        f"{reason} {len(frames)} (frames {', '.join(map(str, frames[:shown]))}"
-        f"{', ...' if len(frames) > shown else ''})"
+        f"{reason} {len(frames)} (frames {', '.join(map(str, frames[:5]))}"
+        f"{', ...' if len(frames) > 5 else ''})"
         for reason, frames in early.items() if frames
     ]
     if parts:
@@ -160,8 +155,8 @@ def cmd_fit(args):
 
 
 def cmd_eval(args):
-    pred, _pred_names, pred_parents = _load_side(args.pred)
-    gt, _gt_names, gt_parents = _load_side(args.gt)
+    pred, pred_parents = _load_side(args.pred)
+    gt, gt_parents = _load_side(args.gt)
     if pred.frame_count != gt.frame_count:
         raise ValidationError("frame count mismatch between pred and gt")
     if pred.joint_count == gt.joint_count:
@@ -201,8 +196,9 @@ def cmd_eval(args):
             if pred_part is None or gt_part is None:
                 missing = "cds needs a bone with both ends valid on each side"
         if missing is None:
-            values, report["cds"] = cd_skeleton_sequence(*pred_part, *gt_part)
-            report["cds_per_frame"] = values
+            values = cd_skeleton(SkeletonInstance(*pred_part), SkeletonInstance(*gt_part))
+            report["cds"] = float(np.mean(values))
+            report["cds_per_frame"] = values.tolist()
         elif wanted == ["cds"]:
             raise ValidationError(missing)
         else:

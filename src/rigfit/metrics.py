@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .skeleton import bone_segments
 
 
 @dataclass(frozen=True)
@@ -29,10 +28,6 @@ class SkeletonInstance:
     @property
     def joint_count(self):
         return self.positions.shape[-2]
-
-    def segments(self):
-        """(..., K, 2, 3) array of (parent, child) bone endpoints."""
-        return bone_segments(self, self.positions)
 
 
 def _check_same_shape(pred, gt):
@@ -103,53 +98,49 @@ def point_to_segment_distance(p, b1, b2):
     return float(np.linalg.norm(p - closest)), t, closest
 
 
-def _points_to_segments_min(points, segments):
-    """Min distance of each point (..., P, 3) to any segment (..., K, 2, 3); t = 0 on bones under
-    1e-12. Frames, then bones, go in blocks of 32 KB temporaries (malloc maps 128 KB afresh)."""
-    P, K = points.shape[-2], segments.shape[-3]
+def _block_min(p, poses, parents, children, out):
+    """One frame block of _points_to_segments_min: lower out (F, 1, P) to the least square
+    distance of each point p (3, F, 1, P) to a bone of poses (F, N, 3), the bones in blocks.
+    A function, so that the block's bone ends and temporaries go before the next block's."""
+    b1 = np.moveaxis(poses[:, parents], -1, 0)[..., None]  # 3, F, K, 1, frames innermost
+    d = np.moveaxis(poses[:, children], -1, 0)[..., None] - b1
+    dd = np.einsum("i...,i...->...", d, d)
+    dd[dd < 1e-24] = np.inf  # so t = 0 on a bone under 1e-12
+    step = max(1, (1 << 12) // p.size)
+    for k in range(0, len(children), step):
+        b1k, dk = b1[:, :, k:k + step], d[:, :, k:k + step]
+        t = np.clip(np.einsum("i...,i...->...", p - b1k, dk) / dd[:, k:k + step], 0.0, 1.0)
+        gap = p - (b1k + t * dk)
+        np.minimum(out, np.einsum("i...,i...->...", gap, gap).min(-2, keepdims=True), out=out)
+
+
+def _points_to_segments_min(points, positions, parents):
+    """Min distance of each point (..., P, 3) to any bone of the pose (..., N, 3) with parents;
+    t = 0 on bones under 1e-12. Frames, then bones, go in blocks of 32 KB temporaries (malloc
+    maps 128 KB afresh), and each frame block gathers its own (parent, child) bone ends."""
+    P = points.shape[-2]
+    children = np.flatnonzero(parents >= 0)
+    parents = parents[children]
     p = np.moveaxis(points.reshape(-1, P, 3), -1, 0)[:, :, None, :]  # 3, F, 1, P
-    ends = np.moveaxis(segments.reshape(-1, K, 2, 3), (-2, -1), (0, 1))[..., None]  # 2, 3, F, K, 1
+    poses = positions.reshape(-1, *positions.shape[-2:])
     best = np.full(p.shape[1:], np.inf)
     frames = max(1, (1 << 12) // (3 * P))
     for f in range(0, p.shape[1], frames):
-        pf, (b1, b2), out = p[:, f:f + frames], ends[:, :, f:f + frames], best[f:f + frames]
-        d = b2 - b1
-        dd = np.einsum("i...,i...->...", d, d)
-        dd[dd < 1e-24] = np.inf  # so t = 0 on a bone under 1e-12
-        step = max(1, (1 << 12) // pf.size)
-        for k in range(0, K, step):
-            b1k, dk = b1[:, :, k:k + step], d[:, :, k:k + step]
-            t = np.clip(np.einsum("i...,i...->...", pf - b1k, dk) / dd[:, k:k + step], 0.0, 1.0)
-            gap = pf - (b1k + t * dk)
-            np.minimum(out, np.einsum("i...,i...->...", gap, gap).min(-2, keepdims=True), out=out)
+        _block_min(p[:, f:f + frames], poses[f:f + frames], parents, children, best[f:f + frames])
     return np.sqrt(best).reshape(points.shape[:-1])  # sqrt is monotone: root of the least square
 
 
 def cd_skeleton_directed(a, b):
     """Mean distance from each joint of a to the nearest bone segment of b:
     a float for one pose, a (T,) array for clips of T frames."""
-    segs = b.segments()
-    if segs.shape[-3] == 0:
+    if not np.any(b.parents >= 0):
         raise ValidationError("target skeleton has no bone segments")
-    if a.positions.shape[:-2] != segs.shape[:-3]:
+    if a.positions.shape[:-2] != b.positions.shape[:-2]:
         raise ValidationError("frame count mismatch between skeletons")
-    dist = _points_to_segments_min(a.positions, segs).mean(axis=-1)
+    dist = _points_to_segments_min(a.positions, b.positions, b.parents).mean(axis=-1)
     return float(dist) if dist.ndim == 0 else dist
 
 
 def cd_skeleton(a, b):
     """Symmetric skeleton Chamfer distance, per frame for clips."""
     return 0.5 * (cd_skeleton_directed(a, b) + cd_skeleton_directed(b, a))
-
-
-def cd_skeleton_sequence(pred_positions, pred_parents, gt_positions, gt_parents):
-    """Per-frame symmetric skeleton Chamfer distance plus its mean.
-
-    Each side is a (T, N, 3) position sequence with its own parent array;
-    the two sides may differ in joint count but not in frame count.
-    """
-    if np.ndim(pred_positions) != 3 or np.ndim(gt_positions) != 3:
-        raise ValidationError("position sequences must be TxNx3")
-    per_frame = cd_skeleton(SkeletonInstance(pred_positions, pred_parents),
-                            SkeletonInstance(gt_positions, gt_parents))
-    return per_frame.tolist(), float(np.mean(per_frame))

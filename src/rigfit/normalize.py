@@ -12,39 +12,6 @@ _DEGENERATE_EXTENT = 1e-12
 
 
 @dataclass(frozen=True)
-class Aabb:
-    min: np.ndarray
-    max: np.ndarray
-
-    def __post_init__(self):
-        lo = np.array(self.min, dtype=float)
-        hi = np.array(self.max, dtype=float)
-        if lo.shape != (3,) or hi.shape != (3,) or np.any(lo > hi):
-            raise ValidationError("Aabb requires min <= max componentwise")
-        object.__setattr__(self, "min", lo)
-        object.__setattr__(self, "max", hi)
-
-    @property
-    def center(self):
-        return (self.min + self.max) / 2.0
-
-    @property
-    def extent(self):
-        return self.max - self.min
-
-    @property
-    def max_extent(self):
-        return float(np.max(self.extent))
-
-    @staticmethod
-    def of_points(points):
-        points = np.asarray(points, dtype=float).reshape(-1, 3)
-        if points.shape[0] == 0:
-            raise ValidationError("Aabb of an empty point set")
-        return Aabb(points.min(axis=0), points.max(axis=0))
-
-
-@dataclass(frozen=True)
 class NormalizationTransform:
     """x' = (x - center) * scale, inverted by x = x'/scale + center."""
 
@@ -75,10 +42,10 @@ def rest_normalize(skeleton, extra_points=None):
     pts = rest_pose_positions(skeleton)
     if extra_points is not None and len(extra_points) > 0:
         pts = np.vstack([pts, np.asarray(extra_points, dtype=float).reshape(-1, 3)])
-    box = Aabb.of_points(pts)
-    if box.max_extent < _DEGENERATE_EXTENT:
+    max_extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    if max_extent < _DEGENERATE_EXTENT:
         raise ValidationError("degenerate rest pose: zero bounding-box extent")
-    scale = 1.0 / box.max_extent
+    scale = 1.0 / max_extent
     scaled = Skeleton(
         joint_names=skeleton.joint_names,
         parents=skeleton.parents.copy(),
@@ -88,15 +55,15 @@ def rest_normalize(skeleton, extra_points=None):
     return scaled, NormalizationTransform(center=np.zeros(3), scale=scale)
 
 
-def remove_global_translation(trajectory, root_index=0):
-    """Subtract the root position from every joint, per frame.
+def remove_global_translation(trajectory):
+    """Subtract the root (joint 0) position from every joint, per frame.
 
     Returns the recentred trajectory and the extracted per-frame root
     positions, so reattach_global_translation can invert exactly.
     """
-    if not trajectory.mask[root_index]:
+    if not trajectory.mask[0]:
         raise ValidationError("root joint is masked out; cannot remove translation")
-    roots = trajectory.positions[:, root_index, :].copy()
+    roots = trajectory.positions[:, 0, :].copy()
     recentred = trajectory.positions - roots[:, None, :]
     out = JointTrajectory(positions=recentred, mask=trajectory.mask, fps=trajectory.fps)
     return out, roots
@@ -113,21 +80,18 @@ def reattach_global_translation(trajectory, roots):
     )
 
 
-def sequence_super_aabb(trajectory):
-    """Bounding box over all frames, mask-valid joints only."""
-    return Aabb.of_points(trajectory.positions[:, trajectory.mask, :])
-
-
 def sequence_normalize(trajectory):
     """Uniformly scale the whole sequence into [-1, 1]^3.
 
-    center = super-box midpoint, scale = 2 / max extent; masked joints never
-    influence the box.
+    center = midpoint of the box over all frames, scale = 2 / its max extent;
+    masked joints never influence the box.
     """
-    box = sequence_super_aabb(trajectory)
-    if box.max_extent < _DEGENERATE_EXTENT:
+    pts = trajectory.positions[:, trajectory.mask]
+    lo, hi = pts.min(axis=(0, 1), initial=np.inf), pts.max(axis=(0, 1), initial=-np.inf)
+    max_extent = float(np.max(hi - lo))
+    if max_extent < _DEGENERATE_EXTENT:  # also a clip of no frames, whose box is inverted
         raise ValidationError("degenerate sequence: zero bounding-box extent")
-    transform = NormalizationTransform(center=box.center, scale=2.0 / box.max_extent)
+    transform = NormalizationTransform(center=(lo + hi) / 2.0, scale=2.0 / max_extent)
     out = JointTrajectory(
         positions=transform.apply(trajectory.positions),
         mask=trajectory.mask,

@@ -67,10 +67,6 @@ class Skeleton:
         return len(self.joint_names)
 
     @property
-    def root(self):
-        return 0
-
-    @property
     def zero_offset(self):
         lengths = np.linalg.norm(self.offsets, axis=1)
         flags = lengths < _ZERO_OFFSET_EPS
@@ -359,21 +355,6 @@ def fk_sequence(skeleton, clip):
     )
 
 
-def identity_pose(skeleton):
-    return Pose(rotations=np.zeros((skeleton.joint_count, 3)))
-
-
 def rest_pose_positions(skeleton):
     """Joint positions with all rotations identity and the root at the origin."""
-    return forward_kinematics(skeleton, identity_pose(skeleton))
-
-
-def bone_segments(skeleton, positions):
-    """(..., K, 2, 3) (parent, child) endpoints of every bone, gathered from
-    (..., N, 3) positions by one (K, 2) index array; children ascending.
-    skeleton is a Skeleton or a metrics.SkeletonInstance."""
-    positions = np.asarray(positions, dtype=float)
-    if positions.shape[-2:] != (skeleton.joint_count, 3):
-        raise ValidationError("positions must be (..., N, 3) for this skeleton")
-    children = np.flatnonzero(skeleton.parents >= 0)
-    return positions[..., np.stack([skeleton.parents[children], children], axis=-1), :]
+    return fk_positions_and_frames(skeleton, np.zeros((skeleton.joint_count, 3)), np.zeros(3))[0]

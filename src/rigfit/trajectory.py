@@ -13,14 +13,17 @@ SCHEMA_VERSION = 1
 
 
 def trajectory_to_dict(trajectory, joint_names):
+    """The JSON object of a trajectory. A masked joint may hold non-finite
+    positions, which JSON cannot carry: they are written as 0.0."""
     if len(joint_names) != trajectory.joint_count:
         raise TrajectoryFormatError("joint_names length does not match trajectory")
+    pos = trajectory.positions
     return {
         "v": SCHEMA_VERSION,
         "fps": trajectory.fps,
         "joint_names": list(joint_names),
         "mask": [bool(m) for m in trajectory.mask],
-        "frames": trajectory.positions.tolist(),
+        "frames": np.where(np.isfinite(pos), pos, 0.0).tolist(),
     }
 
 

@@ -200,6 +200,14 @@ class TestParseErrors:
         for ends in ("\n", "\r\n"):
             assert write_bvh(parse_bvh(text.replace("\n", ends))) == expected
 
+    def test_huge_declared_frame_count_is_missing_rows(self):
+        # the motion array holds no more rows than lines are left, so a count
+        # far beyond memory is the usual missing-rows error, not an allocation
+        text = self.base().replace("Frames: 2", "Frames: 1000000000000000")
+        with pytest.raises(BvhParseError) as e:
+            parse_bvh(text)
+        assert str(e.value) == "line 20: motion data has 2 of 1000000000000000 rows"
+
     def test_wrong_row_arity_names_line(self):
         text = self.base().replace(
             "0.5 -0.25 0.0 30.0 -10.0 5.0 0.0 45.0 0.0", "0.5 -0.25 0.0 30.0"

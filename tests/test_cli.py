@@ -462,3 +462,10 @@ class TestInspect:
         doc = parse_bvh(open(os.path.join(FIXTURE_DIR, rig)).read())
         for name in doc.skeleton.joint_names:
             assert name in out
+
+    def test_huge_declared_frame_count_exit_2(self, tmp_path, caplog):
+        text = open(MINIMAL).read().replace("Frames: 2", "Frames: 1000000000000000")
+        rig = tmp_path / "huge.bvh"
+        rig.write_text(text)
+        assert run("inspect", "--rig", str(rig)) == 2
+        assert "motion data has 2 of 1000000000000000 rows" in caplog.text

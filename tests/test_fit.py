@@ -46,7 +46,6 @@ from rigfit.rotations import (
 from rigfit.skeleton import (
     fk_positions_and_frames,
     fk_sequence,
-    identity_pose,
     rest_pose_positions,
 )
 from tests.conftest import random_skeleton, scaled_skeleton, smooth_clip

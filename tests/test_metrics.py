@@ -1,5 +1,6 @@
 """MPJPE, MPJVE, masked L1, and the skeleton Chamfer distance."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,20 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigfit import AnimationClip, JointTrajectory, Pose, ValidationError
+from rigfit.bvh import document_from_clip, write_bvh
+from rigfit.cli import main
 from rigfit.metrics import (
     SkeletonInstance,
     _points_to_segments_min,
     cd_skeleton,
     cd_skeleton_directed,
-    cd_skeleton_sequence,
     masked_l1_loss,
     mpjpe,
     mpjve,
     point_to_segment_distance,
 )
 from tests.conftest import random_skeleton, smooth_clip
-from rigfit.skeleton import bone_segments, fk_sequence, rest_pose_positions
+from rigfit.skeleton import fk_sequence
 from rigfit.rotations import axis_angle_to_matrix
+from rigfit.trajectory import save_trajectory
 
 
 def traj(positions, mask=None, fps=30.0):
@@ -218,23 +221,11 @@ class TestSkeletonInstance:
         # other input is still converted
         assert SkeletonInstance(pos.astype(np.float32), parents).positions.dtype == float
 
-    def test_clip_segments_stack_the_frames(self, rng):
-        pos = rng.normal(size=(4, 5, 3))
-        parents = [-1, 0, 1, 0, 3]
-        clip = SkeletonInstance(pos, parents).segments()
-        assert clip.shape == (4, 4, 2, 3)
-        for t in range(4):
-            np.testing.assert_array_equal(clip[t], SkeletonInstance(pos[t], parents).segments())
 
-    @given(seed=st.integers(0, 2**32 - 1), joints=st.integers(1, 12))
-    @settings(max_examples=40, deadline=None)
-    def test_same_rows_as_bone_segments(self, seed, joints):
-        rng = np.random.default_rng(seed)
-        sk = random_skeleton(rng, joints)
-        pos = rest_pose_positions(sk) + rng.normal(size=(joints, 3))
-        np.testing.assert_array_equal(
-            SkeletonInstance(pos, sk.parents).segments(), bone_segments(sk, pos)
-        )
+def cd_clip(pred_positions, pred_parents, gt_positions, gt_parents):
+    """cd_skeleton of two (T, N, 3) clips, as `rigfit eval` scores them."""
+    return cd_skeleton(SkeletonInstance(pred_positions, pred_parents),
+                       SkeletonInstance(gt_positions, gt_parents))
 
 
 class TestCdSkeletonSequence:
@@ -242,38 +233,41 @@ class TestCdSkeletonSequence:
         sk = random_skeleton(rng, 6)
         clip = smooth_clip(rng, 6, 4)
         gt = fk_sequence(sk, clip)
-        per_frame, mean = cd_skeleton_sequence(
-            fk_sequence(sk, clip).positions, sk.parents, gt.positions, sk.parents
-        )
+        per_frame = cd_clip(fk_sequence(sk, clip).positions, sk.parents, gt.positions, sk.parents)
+        assert per_frame.shape == (4,)
         np.testing.assert_allclose(per_frame, 0.0, atol=1e-12)
-        assert mean == pytest.approx(0.0)
 
-    def test_mean_is_arithmetic(self, rng):
+    def test_mean_is_arithmetic(self, rng, tmp_path, capsys):
+        # `rigfit eval` reports the plain mean of the per-frame values, each
+        # of which scores its own frame only
         sk = random_skeleton(rng, 4)
         clip = smooth_clip(rng, 4, 2)
         gt = fk_sequence(sk, clip).positions.copy()
         gt[1] += np.array([0.0, 1.0, 0.0])  # rigid shift of frame 1 only
-        per_frame, mean = cd_skeleton_sequence(
-            fk_sequence(sk, clip).positions, sk.parents, gt, sk.parents
-        )
-        assert mean == pytest.approx(np.mean(per_frame))
-        assert per_frame[0] == pytest.approx(0.0, abs=1e-12)
+        per_frame = cd_clip(fk_sequence(sk, clip).positions, sk.parents, gt, sk.parents)
+        assert per_frame[0] == pytest.approx(0.0, abs=1e-12) and per_frame[1] > 0.1
+        pred, obs = str(tmp_path / "pred.bvh"), str(tmp_path / "gt.json")
+        (tmp_path / "pred.bvh").write_text(write_bvh(document_from_clip(sk, clip)))
+        save_trajectory(obs, JointTrajectory(gt, None, clip.fps), sk.joint_names)
+        assert main(["eval", "--pred", pred, "--gt", obs, "--metric", "cds"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        np.testing.assert_allclose(report["cds_per_frame"], per_frame, atol=1e-5)
+        assert report["cds"] == float(np.mean(report["cds_per_frame"]))
 
     def test_frame_count_mismatch(self, rng):
         sk = random_skeleton(rng, 4)
         clip = smooth_clip(rng, 4, 3)
         gt = fk_sequence(sk, clip).positions[:2]
-        with pytest.raises(ValidationError):
-            cd_skeleton_sequence(fk_sequence(sk, clip).positions, sk.parents, gt, sk.parents)
+        with pytest.raises(ValidationError, match="frame count mismatch"):
+            cd_clip(fk_sequence(sk, clip).positions, sk.parents, gt, sk.parents)
 
 
 def reference_cd_skeleton_sequence(pred_positions, pred_parents, gt_positions, gt_parents):
     """The per-frame loop that the clip body replaced: one pose pair at a time."""
-    per_frame = [
+    return np.array([
         cd_skeleton(SkeletonInstance(p, pred_parents), SkeletonInstance(g, gt_parents))
         for p, g in zip(pred_positions, gt_positions)
-    ]
-    return per_frame, float(np.mean(per_frame))
+    ])
 
 
 def brute_force_cd(a, a_parents, b, b_parents):
@@ -312,12 +306,13 @@ class TestClipBody:
     @given(pair=clip_pairs())
     @settings(max_examples=80, deadline=None)
     def test_matches_per_frame_loop(self, pair):
+        # the clip body gathers each frame block's bone ends from any tree,
+        # parents in any index order, zero-length bones included
         pred, pred_parents, gt, gt_parents = pair
-        per_frame, mean = cd_skeleton_sequence(pred, pred_parents, gt, gt_parents)
-        ref_frames, ref_mean = reference_cd_skeleton_sequence(pred, pred_parents, gt, gt_parents)
-        assert len(per_frame) == len(ref_frames)
+        per_frame = cd_clip(pred, pred_parents, gt, gt_parents)
+        ref_frames = reference_cd_skeleton_sequence(pred, pred_parents, gt, gt_parents)
+        assert per_frame.shape == ref_frames.shape
         np.testing.assert_allclose(per_frame, ref_frames, rtol=0.0, atol=1e-12)
-        assert abs(mean - ref_mean) <= 1e-12
         for t in range(len(per_frame)):
             brute = brute_force_cd(pred[t], pred_parents, gt[t], gt_parents)
             assert abs(per_frame[t] - brute) <= 1e-12
@@ -330,10 +325,9 @@ class TestClipBody:
         pred = fk_sequence(sk, smooth_clip(rng, 8, frames)).positions
         gt = pred + rng.normal(scale=0.05, size=pred.shape)
         gt[:, 3] = gt[:, sk.parents[3]]
-        per_frame, mean = cd_skeleton_sequence(pred, sk.parents, gt, sk.parents)
-        ref_frames, ref_mean = reference_cd_skeleton_sequence(pred, sk.parents, gt, sk.parents)
+        per_frame = cd_clip(pred, sk.parents, gt, sk.parents)
+        ref_frames = reference_cd_skeleton_sequence(pred, sk.parents, gt, sk.parents)
         np.testing.assert_allclose(per_frame, ref_frames, rtol=0.0, atol=1e-12)
-        assert abs(mean - ref_mean) <= 1e-12
 
     def test_long_clip_temporaries_stay_small(self, rng):
         # every bone at once would take 6.3 MB per (3, T, P, K) temporary here
@@ -341,7 +335,7 @@ class TestClipBody:
         parents = [-1] + list(range(29))
         tracemalloc.start()
         try:
-            cd_skeleton_sequence(pos, parents, pos[::-1], parents)
+            cd_clip(pos, parents, pos[::-1], parents)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -351,12 +345,13 @@ class TestClipBody:
     def test_body_scratch_is_blocked(self, rng, frames, joints):
         # malloc maps each block of 128 KB or more afresh and page-faults it
         # in on every call; beside its (T, P) minimum and root, the body keeps
-        # a few temporaries of at most 32 KB, however long the clip
+        # a few temporaries of at most 32 KB, however long the clip, bone ends
+        # included: it gathers them a frame block at a time
         pos = rng.normal(size=(frames, joints, 3))
-        segs = SkeletonInstance(pos, [-1] + list(range(joints - 1))).segments()
+        parents = np.array([-1] + list(range(joints - 1)))
         tracemalloc.start()
         try:
-            _points_to_segments_min(pos, segs)
+            _points_to_segments_min(pos, pos, parents)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

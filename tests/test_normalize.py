@@ -5,14 +5,12 @@ import pytest
 
 from rigfit import JointTrajectory, ValidationError, validate_skeleton
 from rigfit.normalize import (
-    Aabb,
     NormalizationTransform,
     remove_global_translation,
     reattach_global_translation,
     rest_normalize,
     sequence_denormalize,
     sequence_normalize,
-    sequence_super_aabb,
 )
 from rigfit.skeleton import rest_pose_positions
 from tests.conftest import random_skeleton
@@ -20,19 +18,6 @@ from tests.conftest import random_skeleton
 
 def make_traj(positions, mask=None, fps=30.0):
     return JointTrajectory(positions=np.asarray(positions, dtype=float), mask=mask, fps=fps)
-
-
-class TestAabb:
-    def test_of_points(self):
-        box = Aabb.of_points([[0, 0, 0], [2, -1, 3]])
-        np.testing.assert_allclose(box.min, [0, -1, 0])
-        np.testing.assert_allclose(box.max, [2, 0, 3])
-        np.testing.assert_allclose(box.center, [1, -0.5, 1.5])
-        assert box.max_extent == 3.0
-
-    def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValidationError):
-            Aabb(min=np.array([1.0, 0, 0]), max=np.array([0.0, 0, 0]))
 
 
 class TestRestNormalize:
@@ -62,8 +47,8 @@ class TestRestNormalize:
     def test_unit_max_extent_after(self, rng):
         sk = random_skeleton(rng, 10)
         scaled, _ = rest_normalize(sk)
-        box = Aabb.of_points(rest_pose_positions(scaled))
-        assert abs(box.max_extent - 1.0) < 1e-9
+        rest = rest_pose_positions(scaled)
+        assert abs(np.max(rest.max(axis=0) - rest.min(axis=0)) - 1.0) < 1e-9
 
 
 class TestRemoveGlobalTranslation:
@@ -93,6 +78,12 @@ class TestRemoveGlobalTranslation:
 
 
 class TestSequenceNormalize:
+    def test_hand_derived_box_transform(self):
+        # box [0, 2] x [-1, 0] x [0, 3]: its midpoint, and 2 over its widest side
+        _, transform = sequence_normalize(make_traj([[[0, 0, 0], [2, -1, 3]]]))
+        np.testing.assert_array_equal(transform.center, [1, -0.5, 1.5])
+        assert transform.scale == 2.0 / 3.0
+
     def test_hand_derived_x_span(self):
         pos = np.zeros((1, 2, 3))
         pos[0, 0, 0] = -2.0
@@ -129,8 +120,9 @@ class TestSequenceNormalize:
         pos[:, 3] = 1e6  # masked-out outlier must not affect the box
         mask = np.array([True, True, True, False])
         out, transform = sequence_normalize(make_traj(pos, mask=mask))
-        box = sequence_super_aabb(make_traj(pos, mask=mask))
-        assert box.max_extent < 100
+        _, valid_only = sequence_normalize(make_traj(pos[:, :3]))
+        np.testing.assert_array_equal(transform.center, valid_only.center)
+        assert transform.scale == valid_only.scale
         assert np.all(np.abs(out.positions[:, :3]) <= 1.0 + 1e-9)
 
     def test_distance_ratios_preserved(self, rng):
@@ -143,6 +135,8 @@ class TestSequenceNormalize:
     def test_zero_extent_error(self):
         with pytest.raises(ValidationError):
             sequence_normalize(make_traj(np.zeros((2, 3, 3))))
+        with pytest.raises(ValidationError):  # no frames, so no box at all
+            sequence_normalize(make_traj(np.zeros((0, 3, 3))))
 
 
 class TestTransform:

@@ -10,15 +10,15 @@ from rigfit import (
     Pose,
     SkeletonError,
     ValidationError,
-    bone_segments,
     fk_sequence,
     forward_kinematics,
     rest_pose_positions,
     validate_skeleton,
 )
 from rigfit.fit import _descendant_mask
+from rigfit.metrics import SkeletonInstance, cd_skeleton_directed
 from rigfit.rotations import batch_axis_angle_to_matrix
-from rigfit.skeleton import Skeleton, fk_positions_and_frames, identity_pose
+from rigfit.skeleton import Skeleton, fk_positions_and_frames
 from tests.conftest import random_skeleton, smooth_clip
 
 
@@ -71,7 +71,7 @@ class TestValidateSkeleton:
 class TestForwardKinematics:
     def test_identity_pose_sums_offsets(self):
         sk = simple_chain(4)
-        P = forward_kinematics(sk, identity_pose(sk))
+        P = forward_kinematics(sk, Pose(rotations=np.zeros((4, 3))))
         np.testing.assert_allclose(P[:, 2], [0, 1, 2, 3])
 
     def test_hand_derived_rx90_chain(self):
@@ -228,31 +228,39 @@ class TestRestPose:
         for n in (2, 5, 11):
             sk = random_skeleton(rng, n)
             np.testing.assert_allclose(
-                rest_pose_positions(sk), forward_kinematics(sk, identity_pose(sk))
+                rest_pose_positions(sk), forward_kinematics(sk, Pose(np.zeros((n, 3))))
             )
 
 
+def distance_to_bones(sk, points):
+    """Mean distance of points (P, 3) to the bones of sk's rest pose."""
+    points = SkeletonInstance(np.asarray(points, dtype=float), [-1] * len(points))
+    return cd_skeleton_directed(points, SkeletonInstance(rest_pose_positions(sk), sk.parents))
+
+
 class TestBoneSegments:
+    # a skeleton's bones, as the Chamfer distance sees them: one segment from
+    # each parent joint to its child
     def test_two_joint_chain(self):
         sk = simple_chain(2)
-        segs = bone_segments(sk, rest_pose_positions(sk))
-        assert segs.shape == (1, 2, 3)
-        np.testing.assert_allclose(segs[0], [[0, 0, 0], [0, 0, 1]])
+        assert distance_to_bones(sk, [[0, 0, 0], [0, 0, 0.5], [0, 0, 1]]) == 0.0
+        assert distance_to_bones(sk, [[0, 0, 2]]) == 1.0
+        assert distance_to_bones(sk, [[1, 0, 0.5]]) == 1.0
 
     def test_star_shares_root_endpoint(self):
         sk = validate_skeleton(
             ["r", "a", "b"], [-1, 0, 0], [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
         )
-        segs = bone_segments(sk, rest_pose_positions(sk))
-        assert segs.shape == (2, 2, 3)
-        np.testing.assert_allclose(segs[0, 0], [0, 0, 0])
-        np.testing.assert_allclose(segs[1, 0], [0, 0, 0])
+        assert distance_to_bones(sk, [[0.5, 0, 0], [0, 0.5, 0]]) == 0.0
+        # no bone joins the two leaves: their midpoint is 0.5 from either bone
+        assert distance_to_bones(sk, [[0.5, 0.5, 0]]) == 0.5
 
     def test_tree_has_n_minus_one_segments(self, rng):
         for n in (2, 7, 20):
             sk = random_skeleton(rng, n)
-            segs = bone_segments(sk, rest_pose_positions(sk))
-            assert segs.shape[0] == n - 1
+            rest = rest_pose_positions(sk)
+            midpoints = (rest[1:] + rest[sk.parents[1:]]) / 2.0  # one per bone
+            assert distance_to_bones(sk, midpoints) < 1e-12
 
 
 class TestTypes:

@@ -53,6 +53,26 @@ class TestFileRoundTrip:
         assert raw["v"] == SCHEMA_VERSION
 
 
+class TestMaskedNonFinite:
+    def test_masked_nan_written_as_zero_is_strict_json(self, tmp_path):
+        # a masked joint may hold NaN or inf, which JSON has no number for
+        positions = np.arange(12.0).reshape(2, 2, 3)
+        positions[0, 1] = np.nan
+        positions[1, 1] = [np.inf, -np.inf, 1.0]
+        traj = JointTrajectory(positions=positions, mask=[True, False], fps=30.0)
+        path = tmp_path / "masked.json"
+        save_trajectory(path, traj, ["a", "b"])
+
+        def refuse(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        raw = json.loads(path.read_text(), parse_constant=refuse)
+        assert [frame[1] for frame in raw["frames"]] == [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        back, _ = load_trajectory(path)
+        assert back.mask.tolist() == [True, False]
+        assert np.array_equal(back.positions[:, 0], positions[:, 0])
+
+
 class TestJsonBytes:
     def test_save_matches_json_dump(self, rng, tmp_path):
         # json.dumps and json.dump encode alike, the C encoder and the Python one
