@@ -1,6 +1,7 @@
 """Two-stage IK: closed-form geometric initialization of all frames at once,
 then first-order refinement of axis-angle parameters with position, prior
-and twist terms, frame by frame, each frame from its own geometric estimate.
+and twist terms, every frame of a clip in lockstep, each from its own
+geometric estimate.
 """
 from __future__ import annotations
 
@@ -32,13 +33,8 @@ STOP_REASONS = ("grad_tol", "max_iters", "damping_exhausted")
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Loss weights and iteration budget for the refinement stage.
-
-    The loss weights must be finite and nonnegative. The damping starts at
-    _TAU (0.1) times the largest diagonal entry of the Gauss-Newton matrix and
-    follows the gain ratio; the iteration stops once max |gradient| <
-    _GRAD_TOL (1e-6).
-    """
+    """Loss weights, finite and nonnegative, and iteration budget for the
+    refinement stage (refine_clip)."""
 
     lambda_prior: float = 1e-3
     lambda_twist: float = 1e-4
@@ -168,46 +164,43 @@ def geometric_init_frame(skeleton, target, mask=None):
 
 def fit_loss(skeleton, theta, target, theta_geo, mask, config,
              root_translation=None, bone_axes=None, positions=None):
-    """Total refinement loss and its three terms.
+    """Total refinement loss and its three terms, of one frame or of a stack.
 
     pos: mean squared FK-to-target distance over mask-valid joints;
     prior: mean squared axis-angle distance to the geometric init (all joints);
     twist: mean squared rotation component parallel to each joint's own bone.
-    positions, when given, are the FK positions of theta and root_translation,
-    and FK is not run again.
+    target is (N, 3), and the terms are floats, or (T, N, 3), and the terms
+    are (T,) arrays; theta, theta_geo and root_translation have the same
+    leading axis. positions, when given, are the FK positions of theta and
+    root_translation, and FK is not run again.
     """
     n = skeleton.joint_count
-    theta = np.asarray(theta, dtype=float).reshape(n, 3)
-    theta_geo = np.asarray(theta_geo, dtype=float).reshape(n, 3)
+    target = np.asarray(target, dtype=float)
+    lead = target.shape[:-2]
+    theta, theta_geo = (np.asarray(v, float).reshape(lead + (n, 3)) for v in (theta, theta_geo))
     mask = np.asarray(mask, dtype=bool)
     if positions is None:
-        if root_translation is None:
-            root_translation = np.zeros(3)
-        positions, _ = fk_positions_and_frames(skeleton, theta, root_translation)
-    r = positions - target
+        root = np.zeros(3) if root_translation is None else root_translation
+        positions, _ = fk_positions_and_frames(skeleton, theta, root)
     nv = int(mask.sum())
-    l_pos = float(np.sum(r[mask] ** 2) / nv)
-    l_prior = float(np.sum((theta - theta_geo) ** 2) / n)
+    # each frame's squares summed as one flat row, as a sum over one frame adds them
+    r = (positions - target)[..., mask, :]
+    l_pos = np.sum((r**2).reshape(lead + (3 * nv,)), axis=-1) / nv
+    l_prior = np.sum(((theta - theta_geo) ** 2).reshape(lead + (3 * n,)), axis=-1) / n
     u = _bone_axes(skeleton) if bone_axes is None else bone_axes
-    twists = np.einsum("ic,ic->i", theta, u)
-    l_twist = float(np.sum(twists**2) / n)
+    twists = np.einsum("...ic,ic->...i", theta, u)
+    l_twist = np.sum(twists**2, axis=-1) / n
     total = l_pos + config.lambda_prior * l_prior + config.lambda_twist * l_twist
-    return LossTerms(total=total, pos=l_pos, prior=l_prior, twist=l_twist)
+    terms = (total, l_pos, l_prior, l_twist)
+    return LossTerms(*(map(float, terms) if not lead else terms))
 
 
-def fit_loss_gradient(
-    skeleton, theta, target, theta_geo, mask, config, root_translation=None
-):
-    """Analytic gradient of the total loss, built as the LM solver builds it.
-
-    If config.fit_root_translation is set, three root-translation components
-    are appended, giving a (3N + 3)-vector; otherwise a 3N-vector.
-    """
-    n = skeleton.joint_count
-    theta = np.asarray(theta, dtype=float).reshape(n, 3)
-    theta_geo = np.asarray(theta_geo, dtype=float).reshape(n, 3)
-    if root_translation is None:
-        root_translation = np.zeros(3)
+def fit_loss_gradient(skeleton, theta, target, theta_geo, mask, config, root_translation=None):
+    """Analytic gradient of the total loss, built as the LM solver builds it:
+    a 3N-vector, with three root-translation components appended if
+    config.fit_root_translation is set."""
+    theta, theta_geo = (np.asarray(v, dtype=float).reshape(-1, 3) for v in (theta, theta_geo))
+    root_translation = np.zeros(3) if root_translation is None else root_translation
     P, G = fk_positions_and_frames(skeleton, theta, root_translation)
     system = _normal_system(skeleton, np.asarray(mask, dtype=bool), config)
     return _normal_equations(system, theta, target, theta_geo, P, G)[1]
@@ -219,7 +212,8 @@ def _descendant_mask(skeleton, mask):
 
 
 class _NormalSystem(NamedTuple):
-    """What _normal_equations reads of one frame's rig, mask and config."""
+    """What _normal_equations reads of a clip's rig, mask and config. With
+    the root translation fitted it is a virtual joint N above every joint."""
 
     params: int  # 3N, plus 3 when the root translation is fitted
     parents: np.ndarray  # (N - 1,) the parents of joints 1..N-1
@@ -227,30 +221,38 @@ class _NormalSystem(NamedTuple):
     W: np.ndarray  # _descendant_mask
     counts: np.ndarray  # (N,) each joint's valid strict descendants
     scale: float  # 2 / Nv, Nv the number of valid joints
-    pairs: tuple  # (i, j): i is j or an ancestor of j, so i <= j
-    diagonal: np.ndarray  # the pairs with i == j
-    scatter: tuple  # flat positions in H of each pair's block entries: transposed, as is
-    curvature: np.ndarray  # (N, 3, 3) prior and twist blocks of H
+    pairs: tuple  # (i, j) of each block of H: i is j or an ancestor of j, so i <= j
+    joint_pairs: int  # the blocks of two joints, before the root translation's
+    diagonal: np.ndarray  # the blocks with i == j
+    scatter: tuple  # flat positions in H of each block's entries: transposed, as is
+    curvature: np.ndarray  # the constant part of the diagonal blocks
     bone_axes: np.ndarray
     config: FitConfig
 
 
 def _normal_system(skeleton, mask, config):
-    """The parts of _normal_equations that stay fixed through a frame's refinement."""
+    """The parts of _normal_equations that stay fixed through a clip's refinement."""
     n = skeleton.joint_count
-    params = 3 * n + (3 if config.fit_root_translation else 0)
+    fit_root = config.fit_root_translation
+    params = 3 * n + (3 if fit_root else 0)
     W = _descendant_mask(skeleton, mask)
     i, j = np.nonzero(skeleton.descendants | np.eye(n, dtype=bool))
-    rows = 3 * i[:, None, None] + np.arange(3)[:, None]  # of the entries of each pair's block
-    cols = 3 * j[:, None, None] + np.arange(3)
+    joint_pairs = len(i)
     u = _bone_axes(skeleton)
     # the prior and twist residuals are linear in theta, so their part of H
     # is constant: 2 (lambda_prior/N I + lambda_twist/N u u^T) per joint
     curvature = (2.0 / n) * (config.lambda_prior * np.eye(3)
                              + config.lambda_twist * u[:, :, None] * u[:, None, :])
+    if fit_root:  # blocks (i, N) for every joint i, then (N, N), which is 2 I
+        i = np.concatenate([i, np.arange(n + 1)])
+        j = np.concatenate([j, np.full(n + 1, n)])
+        curvature = np.concatenate([curvature, 2.0 * np.eye(3)[None]])
+    rows = 3 * i[:, None, None] + np.arange(3)[:, None]  # of the entries of each block
+    cols = 3 * j[:, None, None] + np.arange(3)
     return _NormalSystem(
         params=params, parents=skeleton.parents[1:], mask=mask, W=W, counts=W.sum(axis=1),
-        scale=2.0 / int(mask.sum()), pairs=(i, j), diagonal=np.flatnonzero(i == j),
+        scale=2.0 / int(mask.sum()), pairs=(i, j), joint_pairs=joint_pairs,
+        diagonal=np.flatnonzero(i == j),
         scatter=((cols * params + rows).ravel(), (rows * params + cols).ravel()),
         curvature=curvature, bone_axes=u, config=config,
     )
@@ -259,7 +261,10 @@ def _normal_system(skeleton, mask, config):
 def _normal_equations(system, theta, target, theta_geo, P, G):
     """The Gauss-Newton matrix H = 2 J^T J and the gradient g = 2 J^T r of
     the total loss at theta and its FK result (P, G), in closed form from
-    sums over subtrees; the Jacobian J is never formed.
+    sums over subtrees; the Jacobian J is never formed. Every argument may
+    carry leading frame axes, as theta (..., N, 3) does. Returns H's nonzero
+    blocks (..., B, 3, 3), in system.pairs order, to be put in H at
+    system.scatter, and g (..., params).
 
     Joint i's theta turns its subtree at the world rate Omega_i =
     G_parent(i) J_l(theta_i) (left_jacobian), so with Q = P - P_root the
@@ -276,48 +281,44 @@ def _normal_equations(system, theta, target, theta_geo, P, G):
     against joint i, and its gradient 2/Nv sum_k (P_k - target_k). The
     constant prior and twist blocks and their gradient are added.
     """
-    n = theta.shape[0]
+    lead, n = theta.shape[:-2], theta.shape[-2]
     config = system.config
     Om = left_jacobian(theta)
-    Om[1:] = G[system.parents] @ Om[1:]
-    Omt = Om.transpose(0, 2, 1)
-    Q = P - P[0]
+    Om[..., 1:, :, :] = G[..., system.parents, :, :] @ Om[..., 1:, :, :]
+    Omt = np.swapaxes(Om, -1, -2)
+    Q = P - P[..., :1, :]
     KQ = skew(Q)
     res = np.where(system.mask[:, None], P - target, 0.0)
-    F = np.empty((n, 18))  # per joint: Q, [Q]_x^T [Q]_x, residual, Q x residual
-    F[:, :3] = Q
-    F[:, 3:12] = (KQ.transpose(0, 2, 1) @ KQ).reshape(n, 9)
-    F[:, 12:15] = res
-    F[:, 15:] = (KQ @ res[:, :, None])[..., 0]
+    F = np.empty(lead + (n, 18))  # per joint: Q, [Q]_x^T [Q]_x, residual, Q x residual
+    F[..., :3] = Q
+    F[..., 3:12] = (np.swapaxes(KQ, -1, -2) @ KQ).reshape(lead + (n, 9))
+    F[..., 12:15] = res
+    F[..., 15:] = (KQ @ res[..., None])[..., 0]
     S = system.W @ F  # the same, summed over each joint's valid strict descendants
-    s = S[:, :3] - system.counts[:, None] * Q
-    C = S[:, 3:12].reshape(n, 3, 3) + skew(S[:, :3]) @ KQ
+    s = S[..., :3] - system.counts[:, None] * Q
+    C = S[..., 3:12].reshape(lead + (n, 3, 3)) + skew(S[..., :3]) @ KQ
     # H_ij = L_i R_j with L_i = Omega_i^T [I, [Q_i]_x], R_j = 2/Nv [C_j; [s_j]_x] Omega_j
-    L = np.concatenate([Omt, Omt @ KQ], axis=2)
-    R = np.concatenate([C @ Om, skew(s) @ Om], axis=1)
+    L = np.concatenate([Omt, Omt @ KQ], axis=-1)
+    R = np.concatenate([C @ Om, skew(s) @ Om], axis=-2)
     R *= system.scale
     i, j = system.pairs
-    blocks = L[i] @ R[j]
-    blocks[system.diagonal] += system.curvature
-    H = np.zeros((system.params, system.params))
-    values = blocks.ravel()
-    H.put(system.scatter[0], values)  # each block's transpose below the diagonal,
-    H.put(system.scatter[1], values)  # then the block above it, or on it as it is
+    m = system.joint_pairs
+    blocks = np.zeros(lead + (len(i), 3, 3))
+    np.matmul(L[..., i[:m], :, :], R[..., j[:m], :, :], out=blocks[..., :m, :, :])
+    if config.fit_root_translation:  # 2/Nv Omega_i^T [s_i]_x
+        blocks[..., m : m + n, :, :] = -np.swapaxes(R[..., 3:, :], -1, -2)
+    blocks[..., system.diagonal, :, :] += system.curvature
     # sum_k (Q_k - Q_i) x r_k = sum_k Q_k x r_k - Q_i x sum_k r_k
-    turn = S[:, 15:] - (KQ @ S[:, 12:15, None])[..., 0]
+    turn = S[..., 15:] - (KQ @ S[..., 12:15, None])[..., 0]
     u = system.bone_axes
-    twist = np.einsum("ic,ic->i", theta, u)[:, None] * u
-    g = np.empty(system.params)
-    g[: 3 * n] = (system.scale * (Omt @ turn[..., None])[..., 0]
-                  + (2.0 / n) * (config.lambda_prior * (theta - theta_geo)
-                                 + config.lambda_twist * twist)).ravel()
+    twist = np.einsum("...ic,ic->...i", theta, u)[..., None] * u
+    g = np.empty(lead + (system.params,))
+    g[..., : 3 * n] = (system.scale * (Omt @ turn[..., None])[..., 0]
+                       + (2.0 / n) * (config.lambda_prior * (theta - theta_geo)
+                                      + config.lambda_twist * twist)).reshape(lead + (3 * n,))
     if config.fit_root_translation:
-        H_root = -R[:, 3:].transpose(0, 2, 1).reshape(3 * n, 3)  # 2/Nv Omega_i^T [s_i]_x
-        H[: 3 * n, 3 * n :] = H_root
-        H[3 * n :, : 3 * n] = H_root.T
-        H[3 * n :, 3 * n :] = 2.0 * np.eye(3)
-        g[3 * n :] = system.scale * res.sum(axis=0)
-    return H, g
+        g[..., 3 * n :] = system.scale * res.sum(axis=-2)
+    return blocks, g
 
 
 def _damped_step(H, g, mu):
@@ -330,110 +331,134 @@ def _damped_step(H, g, mu):
     return delta if info == 0 else None
 
 
-def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None,
-                 root_translation=None):
-    """Damped least-squares refinement from theta_init, anchored at theta_geo.
+def refine_clip(skeleton, targets, theta_init, theta_geo, mask=None, config=None,
+                root_translation=None):
+    """Damped least-squares refinement of every frame of a clip from
+    theta_init, anchored at theta_geo, all (T, N, 3) like targets; the root
+    translations (T, 3), zeros by default, are the start's and the anchor's.
+    Returns one FrameFitResult per frame.
 
-    Each iteration solves (H + mu I) delta = -g by Cholesky, with H = 2 J^T J
-    and g built from first-derivative information only (_normal_equations);
-    a trial step is accepted only when the total loss decreases, otherwise
-    the damping grows and the step shrinks, and so it does when H + mu I
-    does not factor. The damping follows Marquardt-Nielsen's gain-ratio rule
-    (Madsen, Nielsen & Tingleff 2004, sec. 3.2): it starts at _TAU * max diag(H), an
-    accepted step scales it by max(1/3, 1 - (2 rho - 1)^3), where rho is the
-    actual over the predicted decrease, and each rejection scales it by nu,
-    which doubles per rejection in a row. The accepted-iterate loss sequence
-    is therefore non-increasing, and the result never scores above its start.
-    theta_init and theta_geo are (N, 3) rotations, the same ones when
-    fit_sequence calls it; root_translation (zeros by default) is the start's
-    and the geometric initialization's root translation. The result's stop
-    says which of STOP_REASONS ended the iteration.
+    Each iteration of a frame solves (H + mu I) delta = -g by Cholesky, with
+    H = 2 J^T J and g from first derivatives only (_normal_equations). A
+    trial step is accepted only when the total loss decreases; otherwise, and
+    when H + mu I does not factor, the damping grows. It follows
+    Marquardt-Nielsen's gain-ratio rule (Madsen, Nielsen & Tingleff 2004,
+    sec. 3.2): it starts at _TAU * max diag(H), an accepted step scales it by
+    max(1/3, 1 - (2 rho - 1)^3), rho the actual over the predicted decrease,
+    and a rejection by nu, which doubles per rejection in a row. So a frame's
+    accepted losses never rise, and it never scores above its start.
+
+    The frames run in lockstep, each with its own iterate, damping, counters
+    and stop reason (STOP_REASONS). One step builds the normal equations of
+    the frames that start an iteration, takes one trial in every running
+    frame, with one FK and one loss over all trial points, and drops the
+    frames that stop: each frame takes the steps it would take alone.
     """
     if config is None:
         config = FitConfig()
     n = skeleton.joint_count
-    target = np.asarray(target, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    frames = targets.shape[0]
     mask = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    geo_rot = np.reshape(theta_geo, (n, 3))
-    init_rot = np.asarray(theta_init, dtype=float)
-    root_t = np.zeros(3) if root_translation is None else np.asarray(root_translation, float)
-
-    fit_root = config.fit_root_translation
+    geo = np.reshape(theta_geo, (frames, n, 3))
+    roots = np.zeros((frames, 3)) if root_translation is None else root_translation
     system = _normal_system(skeleton, mask, config)
-    bone_axes = system.bone_axes
+    # per frame: its rotations, then its root translation, which only moves
+    # when it is fitted, that is when it is one of the system's params
+    x = np.concatenate([np.reshape(theta_init, (frames, 3 * n)),
+                        np.reshape(roots, (frames, 3))], axis=1, dtype=float)
 
-    def unpack(x):
-        if fit_root:
-            return x[: 3 * n].reshape(n, 3), x[3 * n :]
-        return x.reshape(n, 3), root_t
+    def evaluate(ks, x):  # loss terms (K, 4) of frames ks at x, and the FK result they used
+        theta, root = x[:, : 3 * n].reshape(-1, n, 3), x[:, 3 * n :]
+        P, G = fk_positions_and_frames(skeleton, theta, root)
+        terms = fit_loss(skeleton, theta, targets[ks], geo[ks], mask, config, root,
+                         system.bone_axes, P)
+        return np.stack(terms, axis=-1), P, G
 
-    def evaluate(x):
-        """Loss at x and the FK result it used, kept for the next normal equations."""
-        th, rt = unpack(x)
-        P, G = fk_positions_and_frames(skeleton, th, rt)
-        terms = fit_loss(skeleton, th, target, geo_rot, mask, config, rt, bone_axes, P)
-        return terms, (P, G)
-
-    x = np.concatenate([init_rot.ravel(), root_t] if fit_root else [init_rot.ravel()])
-
-    terms, fk = evaluate(x)
-    accepted = [terms.total]
-    mu, nu = None, 2.0
-    iters = trials = 0
-    stop = "max_iters"
-    for _ in range(config.max_iters):
-        H, g = _normal_equations(system, unpack(x)[0], target, geo_rot, *fk)
-        if np.max(np.abs(g)) < _GRAD_TOL:
-            stop = "grad_tol"
+    start = np.arange(frames)  # the frames that start an iteration
+    terms, P, G = evaluate(start, x)
+    accepted = [[total] for total in terms[:, 0].tolist()]
+    blocks = np.empty((frames, len(system.pairs[0]), 3, 3))
+    g = np.empty((frames, system.params))
+    H = np.zeros((system.params, system.params))  # one frame's H at a time; the rest stays 0
+    # frames per _normal_equations call, whose pair temporaries stay under 256 KB
+    chunk = max(1, (1 << 18) // (len(system.pairs[0]) * 45 * 8))
+    mu, nu = None, np.full(frames, 2.0)
+    iters, trials = np.zeros(frames, dtype=int), np.zeros(frames, dtype=int)
+    stop = np.full(frames, None, dtype=object)  # None while the frame runs
+    while True:
+        if start.size:
+            for c in range(0, start.size, chunk):
+                ks = start[c : c + chunk]
+                blocks[ks], g[ks] = _normal_equations(
+                    system, x[ks, : 3 * n].reshape(-1, n, 3), targets[ks], geo[ks], P[ks], G[ks])
+            stop[start[np.max(np.abs(g[start]), axis=1) < _GRAD_TOL]] = "grad_tol"
+            if mu is None:  # every frame starts here: > 0 wherever g != 0
+                mu = _TAU * np.max(np.diagonal(blocks[:, system.diagonal], 0, -2, -1), axis=(1, 2))
+        active = np.flatnonzero(np.equal(stop, None))
+        exhausted = active[mu[active] >= 1.0 / _STEP_UNDERFLOW]
+        iters[exhausted] += 1
+        stop[exhausted] = "damping_exhausted"
+        active = np.flatnonzero(np.equal(stop, None))
+        if not active.size:
             break
-        if mu is None:
-            mu = _TAU * np.max(H.diagonal())  # > 0 wherever g != 0
-        moved = False
-        while mu < 1.0 / _STEP_UNDERFLOW:
-            trials += 1
-            delta = _damped_step(H, g, mu)
-            if delta is not None:  # else H + mu I failed to factor: a rejected trial
-                x_new = x + delta
-                terms_new, fk_new = evaluate(x_new)
-                if terms_new.total < terms.total:
-                    # the decrease the quadratic model predicts, as (H + mu I) delta = -g
-                    predicted = 0.5 * (delta @ (mu * delta - g))
-                    rho = (terms.total - terms_new.total) / predicted
-                    mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), _MU_FLOOR)
-                    nu = 2.0
-                    x, terms, fk = x_new, terms_new, fk_new
-                    accepted.append(terms.total)
-                    moved = True
-                    break
-            mu *= nu
-            nu *= 2.0
-        iters += 1
-        if not moved:
-            stop = "damping_exhausted"
-            break
+        trials[active] += 1
+        # a step that fails to factor stays 0: the loss does not fall, so it is rejected
+        steps = np.zeros((active.size, system.params))
+        for row, k in enumerate(active.tolist()):
+            H.put(system.scatter[0], blocks[k])  # each block's transpose below the diagonal,
+            H.put(system.scatter[1], blocks[k])  # then the block above it, or on it as it is
+            delta = _damped_step(H, g[k], mu[k])
+            if delta is not None:
+                steps[row] = delta
+        x_new = x[active]
+        x_new[:, : system.params] += steps
+        terms_new, P_new, G_new = evaluate(active, x_new)
+        better = terms_new[:, 0] < terms[active, 0]
+        start, steps = active[better], steps[better]
+        # the decrease the quadratic model predicts, as (H + mu I) delta = -g
+        predicted = 0.5 * (steps[:, None, :] @ (mu[start, None] * steps - g[start])[..., None])
+        rho = (terms[start, 0] - terms_new[better, 0]) / predicted[:, 0, 0]
+        x[start], terms[start] = x_new[better], terms_new[better]
+        P[start], G[start] = P_new[better], G_new[better]
+        for k, total, r in zip(start.tolist(), terms_new[better, 0].tolist(), rho.tolist()):
+            accepted[k].append(total)
+            # in floats: numpy's power does not round (2 rho - 1)^3 as pow does
+            mu[k] = max(mu[k] * max(1.0 / 3.0, 1.0 - (2.0 * r - 1.0) ** 3), _MU_FLOOR)
+        nu[start] = 2.0
+        iters[start] += 1
+        rejected = active[~better]
+        mu[rejected] *= nu[rejected]
+        nu[rejected] *= 2.0
+        stop[start[iters[start] >= config.max_iters]] = "max_iters"
+        start = start[iters[start] < config.max_iters]
 
-    return FrameFitResult(
-        *unpack(x),
-        final_loss=terms.total,
-        iterations_used=iters,
-        loss_terms=terms,
-        accepted_losses=tuple(accepted),
-        stop=stop,
-        trials=trials,
+    final = terms.tolist()
+    return tuple(
+        FrameFitResult(x[t, : 3 * n].reshape(n, 3), x[t, 3 * n :], final_loss=final[t][0],
+                       iterations_used=used, loss_terms=LossTerms(*final[t]),
+                       accepted_losses=tuple(accepted[t]), stop=stop[t], trials=tried)
+        for t, (used, tried) in enumerate(zip(iters.tolist(), trials.tolist()))
     )
 
 
+def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None,
+                 root_translation=None):
+    """refine_clip of one frame: target, theta_init and theta_geo (N, 3), and
+    root_translation (3,), zeros by default. Returns its FrameFitResult."""
+    return refine_clip(skeleton, np.asarray(target, dtype=float)[None], theta_init, theta_geo,
+                       mask, config, root_translation)[0]
+
+
 def fit_sequence(skeleton, trajectory, config=None):
-    """Fit a whole trajectory: geometric init of all frames, then each frame
-    refined from its own geometric estimate and anchored there, so that no
-    frame scores above its estimate.
+    """Fit a whole trajectory: geometric init of all frames, then every frame
+    refined from its own geometric estimate and anchored there, all in one
+    refine_clip, so that no frame scores above its estimate.
 
     Root translation is read from the trajectory's root joint and further
     optimized when config.fit_root_translation is set. A masked root gives no
     position to read, so its translation is then always optimized, and each
-    frame's diagnostics say so.
-
-    Returns (AnimationClip, per-frame diagnostics dicts).
+    frame's diagnostics say so. Returns (AnimationClip, per-frame report dicts).
     """
     if config is None:
         config = FitConfig()
@@ -444,24 +469,15 @@ def fit_sequence(skeleton, trajectory, config=None):
         config = replace(config, fit_root_translation=True)
         root_diag = ["root joint masked out: root translation fitted"]
     rotations, roots, geo_diag = geometric_init(skeleton, trajectory.positions, trajectory.mask)
-    reports = []
-    for t in range(trajectory.frame_count):
-        result = refine_frame(
-            skeleton, trajectory.positions[t], rotations[t], rotations[t], trajectory.mask,
-            config, root_translation=roots[t],
-        )
-        rotations[t], roots[t] = result.rotations, result.root_translation  # refined in place
-        reports.append(
-            {
-                "loss_total": result.loss_terms.total,
-                "loss_pos": result.loss_terms.pos,
-                "loss_prior": result.loss_terms.prior,
-                "loss_twist": result.loss_terms.twist,
-                "iters": result.iterations_used,
-                "stop": result.stop,
-                "trials": result.trials,
-                "accepted_losses": list(result.accepted_losses),
-                "diagnostics": root_diag + geo_diag[t],
-            }
-        )
-    return AnimationClip(rotations, roots, trajectory.fps), reports
+    results = refine_clip(skeleton, trajectory.positions, rotations, rotations,
+                          trajectory.mask, config, roots)
+    reports = [
+        {**{f"loss_{term}": v for term, v in result.loss_terms._asdict().items()},
+         "iters": result.iterations_used, "stop": result.stop, "trials": result.trials,
+         "accepted_losses": list(result.accepted_losses), "diagnostics": root_diag + notes}
+        for result, notes in zip(results, geo_diag)
+    ]
+    clip = AnimationClip(np.stack([result.rotations for result in results]),
+                         np.stack([result.root_translation for result in results]),
+                         trajectory.fps)
+    return clip, reports

@@ -1,12 +1,12 @@
 """Sequence and rest-pose normalization into the [-1, 1]^3 working space."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
-from .skeleton import JointTrajectory, Skeleton, rest_pose_positions
+from .skeleton import Skeleton, rest_pose_positions
 
 _DEGENERATE_EXTENT = 1e-12
 
@@ -65,19 +65,14 @@ def remove_global_translation(trajectory):
         raise ValidationError("root joint is masked out; cannot remove translation")
     roots = trajectory.positions[:, 0, :].copy()
     recentred = trajectory.positions - roots[:, None, :]
-    out = JointTrajectory(positions=recentred, mask=trajectory.mask, fps=trajectory.fps)
-    return out, roots
+    return replace(trajectory, positions=recentred), roots
 
 
 def reattach_global_translation(trajectory, roots):
     roots = np.asarray(roots, dtype=float)
     if roots.shape != (trajectory.frame_count, 3):
         raise ValidationError("root position list does not match frame count")
-    return JointTrajectory(
-        positions=trajectory.positions + roots[:, None, :],
-        mask=trajectory.mask,
-        fps=trajectory.fps,
-    )
+    return replace(trajectory, positions=trajectory.positions + roots[:, None, :])
 
 
 def sequence_normalize(trajectory):
@@ -87,22 +82,13 @@ def sequence_normalize(trajectory):
     masked joints never influence the box.
     """
     pts = trajectory.positions[:, trajectory.mask]
-    lo, hi = pts.min(axis=(0, 1), initial=np.inf), pts.max(axis=(0, 1), initial=-np.inf)
+    lo, hi = pts.min(axis=(0, 1)), pts.max(axis=(0, 1))  # a trajectory has a valid point
     max_extent = float(np.max(hi - lo))
-    if max_extent < _DEGENERATE_EXTENT:  # also a clip of no frames, whose box is inverted
+    if max_extent < _DEGENERATE_EXTENT:
         raise ValidationError("degenerate sequence: zero bounding-box extent")
     transform = NormalizationTransform(center=(lo + hi) / 2.0, scale=2.0 / max_extent)
-    out = JointTrajectory(
-        positions=transform.apply(trajectory.positions),
-        mask=trajectory.mask,
-        fps=trajectory.fps,
-    )
-    return out, transform
+    return replace(trajectory, positions=transform.apply(trajectory.positions)), transform
 
 
 def sequence_denormalize(trajectory, transform):
-    return JointTrajectory(
-        positions=transform.invert(trajectory.positions),
-        mask=trajectory.mask,
-        fps=trajectory.fps,
-    )
+    return replace(trajectory, positions=transform.invert(trajectory.positions))

@@ -246,14 +246,9 @@ def batch_axis_angle_to_matrix(thetas):
     a = np.sqrt(a2)
     K = skew(thetas)
     small = a < _TINY_ANGLE
-    s = np.empty(a.shape)
-    c = np.empty(a.shape)
     # sin(a)/a -> 1 - a^2/6, (1-cos a)/a^2 -> 1/2 - a^2/24
-    s[small] = 1.0 - a2[small] / 6.0
-    c[small] = 0.5 - a2[small] / 24.0
-    if np.any(~small):
-        s[~small] = np.sin(a[~small]) / a[~small]
-        c[~small] = (1.0 - np.cos(a[~small])) / a2[~small]
+    s = np.where(small, 1.0 - a2 / 6.0, np.sin(a) / np.where(small, 1.0, a))
+    c = np.where(small, 0.5 - a2 / 24.0, (1.0 - np.cos(a)) / np.where(small, 1.0, a2))
     # I + s K + c K^2, summed in that order, in place to spare whole-clip temporaries
     R = K @ K
     R *= c[..., None, None]

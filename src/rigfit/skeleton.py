@@ -201,7 +201,7 @@ class AnimationClip:
 
 @dataclass(frozen=True)
 class JointTrajectory:
-    """T x N grid of world-space joint positions with a joint-validity mask."""
+    """T >= 1 frames of world-space joint positions (T, N, 3) with a joint-validity mask."""
 
     positions: np.ndarray
     mask: np.ndarray
@@ -209,8 +209,8 @@ class JointTrajectory:
 
     def __post_init__(self):
         pos = np.array(self.positions, dtype=float)
-        if pos.ndim != 3 or pos.shape[2] != 3:
-            raise ValidationError("JointTrajectory.positions must be TxNx3")
+        if pos.ndim != 3 or pos.shape[2] != 3 or pos.shape[0] < 1:
+            raise ValidationError("JointTrajectory.positions must be TxNx3 with T >= 1")
         if self.mask is None:
             mask = np.ones(pos.shape[1] if pos.ndim == 3 else 0, dtype=bool)
         else:

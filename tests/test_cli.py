@@ -96,6 +96,24 @@ class TestFit:
             for key in ("loss_pos", "loss_prior", "loss_twist", "iters", "stop", "trials"):
                 assert key in fr
 
+    def test_masked_root_fit_matches_golden_files(self, tmp_path):
+        # the golden synth clip with its root masked, fitted with the root
+        # translation: the fitted BVH bytes and each frame's iterations,
+        # trials and stop reason are those the committed golden files hold
+        doc = json.load(open(os.path.join(GOLDEN_DIR, "star_synth_40_seed7.json")))
+        doc["mask"][0] = False
+        traj = str(tmp_path / "noroot.json")
+        with open(traj, "w") as fh:
+            json.dump(doc, fh)
+        out, report = str(tmp_path / "fit.bvh"), str(tmp_path / "report.json")
+        assert run("fit", "--rig", STAR, "--traj", traj, "--out", out, "--report", report) == 0
+        golden = os.path.join(GOLDEN_DIR, "star_synth_40_seed7_noroot")
+        with open(out, "rb") as got, open(golden + ".fit.bvh", "rb") as want:
+            assert got.read() == want.read()
+        frames = json.load(open(report))["frames"]
+        want = json.load(open(golden + ".stops.json"))
+        assert {key: [f[key] for f in frames] for key in ("iters", "trials", "stop")} == want
+
     def fit_report(self, tmp_path, *extra, root_masked=False):
         """Per-frame report of a star fit. Each frame of the clip starts at its
         exact geometric init, and stops there at once, unless the root is

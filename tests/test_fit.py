@@ -30,6 +30,7 @@ from rigfit.fit import (
     fit_loss,
     fit_loss_gradient,
     geometric_init,
+    refine_clip,
     refine_frame,
 )
 from rigfit.metrics import mpjpe, mpjve
@@ -392,9 +393,14 @@ def position_rows(sk, theta, target, mask, cfg, root=None):
 
 
 def normal_equations(sk, theta, target, geo, mask, cfg, root=None):
-    """_normal_equations at theta and root, from a fresh FK."""
+    """_normal_equations at theta and root, from a fresh FK: (dense H, g)."""
     P, G = fk_positions_and_frames(sk, theta, np.zeros(3) if root is None else root)
-    return _normal_equations(_normal_system(sk, mask, cfg), theta, target, geo, P, G)
+    system = _normal_system(sk, mask, cfg)
+    blocks, g = _normal_equations(system, theta, target, geo, P, G)
+    H = np.zeros((system.params, system.params))
+    H.put(system.scatter[0], blocks)  # each block's transpose, then the block as it is
+    H.put(system.scatter[1], blocks)
+    return H, g
 
 
 @st.composite
@@ -792,6 +798,89 @@ def assert_sound(final_loss, accepted_losses, stop, iters, bound, config):
     assert iters <= config.max_iters
 
 
+@st.composite
+def clip_problems(draw):
+    """A random tree of at most 12 joints and 1 to 6 frames of a noisy clip
+    of bones scaled by 0.8-1.5, a random joint mask that may hide the root,
+    root fitting on or off, sometimes a budget of 1 to 3 iterations, and the
+    index of one frame to put at its exact minimum."""
+    n = draw(st.integers(2, 12))
+    frames = draw(st.integers(1, 6))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    mask[draw(st.integers(0, n - 1))] = True
+    config = FitConfig(max_iters=draw(st.sampled_from([1, 2, 3, 200])),
+                       fit_root_translation=draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sk = random_skeleton(rng, n)
+    scale = draw(st.floats(0.8, 1.5))
+    positions = fk_sequence(scaled_skeleton(sk, scale), smooth_clip(rng, n, frames)).positions
+    positions = positions + rng.normal(size=(frames, 1, 3)) + 0.03 * rng.normal(size=positions.shape)
+    return sk, positions, mask, config, rng.normal(size=(frames, n, 3)) * 0.3, \
+        draw(st.integers(0, frames - 1))
+
+
+class TestRefineClip:
+    """Each frame of a lockstep refine_clip takes the steps refine_frame
+    takes on that frame alone."""
+
+    @staticmethod
+    def assert_as_alone(results, sk, targets, init, geo, mask, config, roots):
+        assert len(results) == len(targets)
+        for t, res in enumerate(results):
+            alone = refine_frame(sk, targets[t], init[t], geo[t], mask, config, roots[t])
+            assert (res.iterations_used, res.trials, res.stop, len(res.accepted_losses)) == \
+                (alone.iterations_used, alone.trials, alone.stop, len(alone.accepted_losses))
+            np.testing.assert_allclose(res.accepted_losses, alone.accepted_losses,
+                                       rtol=1e-10, atol=0.0)
+            np.testing.assert_allclose(res.loss_terms, alone.loss_terms, rtol=1e-10, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(clip_problems())
+    def test_frames_step_as_alone(self, problem):
+        sk, positions, mask, config, perturbation, exact = problem
+        geo, roots, _ = geometric_init(sk, positions, mask)
+        init = geo + perturbation
+        # frame `exact` starts at the minimum of its loss: the rig reaches its
+        # target there, and its rotations have no twist and are their own anchor
+        u = _bone_axes(sk)
+        theta = geo[exact] - np.einsum("ic,ic->i", geo[exact], u)[:, None] * u
+        positions[exact] = fk_positions_and_frames(sk, theta, roots[exact])[0]
+        init[exact] = geo[exact] = theta
+        positions[:, ~mask] = np.nan  # masked positions must never be read
+        results = refine_clip(sk, positions, init, geo, mask, config, roots)
+        assert results[exact].iterations_used == 0 and results[exact].stop == "grad_tol"
+        self.assert_as_alone(results, sk, positions, init, geo, mask, config, roots)
+
+    def test_unfactorable_damped_matrix_in_a_stack(self, monkeypatch):
+        # the fit of test_unfactorable_damped_matrix_is_a_rejected_trial as
+        # the middle frame of three: its failed factorizations are rejected
+        # trials of its own, and every frame steps as it does alone
+        infos = []
+
+        def recording(*args, **kwargs):
+            out = dposv(*args, **kwargs)
+            infos.append(out[2])
+            return out
+
+        monkeypatch.setattr(fit_module, "dposv", recording)
+        monkeypatch.setattr(fit_module, "_TAU", 1e-20)
+        sk = validate_skeleton(["a", "b", "c"], [-1, 0, 1], [[0, 0, 0], [0, 0, 0], [1.0, 0, 0]])
+        mask = np.array([True, False, True])
+        targets = np.array([[[0.0, 0.0, 0.0], [np.nan] * 3, [x, y, 0.0]]
+                            for x, y in ((0.6, 0.8), (0.0, 1.0), (1.0, 0.0))])
+        cfg = FitConfig(lambda_prior=0.0, lambda_twist=0.0)
+        zeros, roots = np.zeros((3, 3, 3)), np.zeros((3, 3))
+        results = refine_clip(sk, targets, zeros, zeros, mask, cfg, roots)
+        assert any(info > 0 for info in infos) and infos[-1] == 0
+        assert sum(res.trials for res in results) == len(infos)
+        res = results[1]
+        assert res.trials > res.iterations_used
+        assert res.stop == "grad_tol" and res.final_loss < 1e-12
+        assert np.all(np.diff(res.accepted_losses) <= 0.0)
+        assert results[2].iterations_used == 0  # the rest pose reaches its target
+        self.assert_as_alone(results, sk, targets, zeros, zeros, mask, cfg, roots)
+
+
 class TestFitProperties:
     @settings(max_examples=60, deadline=None)
     @given(fit_problems())
@@ -841,11 +930,11 @@ class TestFitSequence:
         poses = []
 
         def recording(*args, **kwargs):
-            result = refine_frame(*args, **kwargs)
-            poses.append(result.pose)
-            return result
+            results = refine_clip(*args, **kwargs)
+            poses.extend(result.pose for result in results)
+            return results
 
-        monkeypatch.setattr(fit_module, "refine_frame", recording)
+        monkeypatch.setattr(fit_module, "refine_clip", recording)
         skn, traj, fitted, reports = self.fitted_roundtrip(rng, 24, 3)
         assert len(poses) == fitted.frame_count == 3
         for t, pose in enumerate(poses):
@@ -857,12 +946,12 @@ class TestFitSequence:
         # the frames before it ended at
         calls = []
 
-        def recording(skeleton, target, theta_init, theta_geo, mask, config, root_translation):
+        def recording(skeleton, targets, theta_init, theta_geo, mask, config, root_translation):
             calls.append((np.array(theta_init), np.array(theta_geo), np.array(root_translation)))
-            return refine_frame(skeleton, target, theta_init, theta_geo, mask, config,
-                                root_translation)
+            return refine_clip(skeleton, targets, theta_init, theta_geo, mask, config,
+                               root_translation)
 
-        monkeypatch.setattr(fit_module, "refine_frame", recording)
+        monkeypatch.setattr(fit_module, "refine_clip", recording)
         rng = np.random.default_rng(5)
         for masked_root in (False, True):
             sk = random_skeleton(rng, 24)
@@ -873,11 +962,12 @@ class TestFitSequence:
             calls.clear()
             fit_sequence(sk, traj)
             geo_rot, geo_root, _ = geometric_init(sk, traj.positions, mask)
-            assert len(calls) == 4
-            for t, (start, anchor, root) in enumerate(calls):
-                assert np.array_equal(start, geo_rot[t])
-                assert np.array_equal(anchor, geo_rot[t])
-                assert np.array_equal(root, geo_root[t])
+            # one refine_clip call holds the whole clip
+            assert len(calls) == 1
+            start, anchor, root = calls[0]
+            assert np.array_equal(start, geo_rot)
+            assert np.array_equal(anchor, geo_rot)
+            assert np.array_equal(root, geo_root)
 
     def test_round_trip_mpjpe(self, rng):
         skn, traj, fitted, reports = self.fitted_roundtrip(rng, 10, 8)

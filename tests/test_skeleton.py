@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rigfit import (
     AnimationClip,
+    JointTrajectory,
     Pose,
     SkeletonError,
     ValidationError,
@@ -275,6 +276,14 @@ class TestTypes:
     def test_clip_needs_frames(self):
         with pytest.raises(ValidationError):
             AnimationClip(np.zeros((0, 2, 3)), np.zeros((0, 3)), fps=30.0)
+
+    @pytest.mark.parametrize("mask", [None, [True, True, False]])
+    def test_trajectory_needs_frames(self, mask):
+        # as a clip does: an empty stack would reach the fit and the metrics,
+        # where an MPJPE over no frames is 0/0
+        with pytest.raises(ValidationError, match="T >= 1"):
+            JointTrajectory(np.zeros((0, 3, 3)), mask, 30.0)
+        assert JointTrajectory(np.zeros((1, 3, 3)), mask, 30.0).frame_count == 1
 
     def test_clip_rejects_nonfinite_rotations(self):
         rot = np.zeros((4, 2, 3))
