@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -276,6 +277,7 @@ def cmd_inspect(args):
     return EXIT_OK
 
 
+@functools.cache  # built at the first command, then reused by every later one
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="rigfit",
@@ -325,8 +327,7 @@ def build_parser():
 
 def main(argv=None):
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -212,49 +212,69 @@ def _descendant_mask(skeleton, mask):
 
 
 class _NormalSystem(NamedTuple):
-    """What _normal_equations reads of a clip's rig, mask and config. With
-    the root translation fitted it is a virtual joint N above every joint."""
+    """What _normal_equations and _damped_steps read of a clip's rig, mask
+    and config. A joint is coupled when it has a valid strict descendant and
+    still otherwise: a still joint's rotation moves no valid position, so its
+    blocks of H against every other unknown are 0 and its diagonal block is
+    the constant prior and twist curvature. Only the coupled joints, and the
+    root translation when it is fitted, a virtual joint above every joint,
+    make up the system that is factored; its blocks are indexed by their
+    place in that system, the root translation last."""
 
     params: int  # 3N, plus 3 when the root translation is fitted
-    parents: np.ndarray  # (N - 1,) the parents of joints 1..N-1
+    coupled: np.ndarray  # (C,) the coupled joints, ascending: the root first, if any
+    unknowns: np.ndarray  # the places of the factored system's unknowns among the params
+    parents: np.ndarray  # (C - 1,) the parents of coupled[1:]
     mask: np.ndarray  # (N,) valid joints
-    W: np.ndarray  # _descendant_mask
-    counts: np.ndarray  # (N,) each joint's valid strict descendants
+    W: np.ndarray  # (C, N) the coupled joints' rows of _descendant_mask
+    counts: np.ndarray  # (C,) each coupled joint's valid strict descendants
     scale: float  # 2 / Nv, Nv the number of valid joints
     pairs: tuple  # (i, j) of each block of H: i is j or an ancestor of j, so i <= j
     joint_pairs: int  # the blocks of two joints, before the root translation's
     diagonal: np.ndarray  # the blocks with i == j
     scatter: tuple  # flat positions in H of each block's entries: transposed, as is
     curvature: np.ndarray  # the constant part of the diagonal blocks
+    still_peak: float  # the largest diagonal entry of the still joints' blocks, or 0
     bone_axes: np.ndarray
     config: FitConfig
 
 
 def _normal_system(skeleton, mask, config):
-    """The parts of _normal_equations that stay fixed through a clip's refinement."""
+    """The parts of _normal_equations and _damped_steps that stay fixed
+    through a clip's refinement."""
     n = skeleton.joint_count
     fit_root = config.fit_root_translation
-    params = 3 * n + (3 if fit_root else 0)
     W = _descendant_mask(skeleton, mask)
-    i, j = np.nonzero(skeleton.descendants | np.eye(n, dtype=bool))
+    counts = W.sum(axis=1)
+    coupled = np.flatnonzero(counts)
+    c = coupled.size
+    # a coupled joint's ancestors are coupled too, so a pair is kept when its j is
+    i, j = np.nonzero(skeleton.descendants[:, coupled] | np.eye(n, dtype=bool)[:, coupled])
+    i = np.searchsorted(coupled, i)
     joint_pairs = len(i)
     u = _bone_axes(skeleton)
     # the prior and twist residuals are linear in theta, so their part of H
     # is constant: 2 (lambda_prior/N I + lambda_twist/N u u^T) per joint
     curvature = (2.0 / n) * (config.lambda_prior * np.eye(3)
                              + config.lambda_twist * u[:, :, None] * u[:, None, :])
-    if fit_root:  # blocks (i, N) for every joint i, then (N, N), which is 2 I
-        i = np.concatenate([i, np.arange(n + 1)])
-        j = np.concatenate([j, np.full(n + 1, n)])
+    still_peak = float(np.max(np.diagonal(curvature[counts == 0], 0, -2, -1), initial=0.0))
+    curvature = curvature[coupled]
+    unknowns = (3 * coupled[:, None] + np.arange(3)).ravel()
+    if fit_root:  # blocks (i, C) for every coupled joint i, then (C, C), which is 2 I
+        i = np.concatenate([i, np.arange(c + 1)])
+        j = np.concatenate([j, np.full(c + 1, c)])
         curvature = np.concatenate([curvature, 2.0 * np.eye(3)[None]])
+        unknowns = np.concatenate([unknowns, 3 * n + np.arange(3)])
+    size = unknowns.size
     rows = 3 * i[:, None, None] + np.arange(3)[:, None]  # of the entries of each block
     cols = 3 * j[:, None, None] + np.arange(3)
     return _NormalSystem(
-        params=params, parents=skeleton.parents[1:], mask=mask, W=W, counts=W.sum(axis=1),
+        params=3 * n + (3 if fit_root else 0), coupled=coupled, unknowns=unknowns,
+        parents=skeleton.parents[coupled[1:]], mask=mask, W=W[coupled], counts=counts[coupled],
         scale=2.0 / int(mask.sum()), pairs=(i, j), joint_pairs=joint_pairs,
         diagonal=np.flatnonzero(i == j),
-        scatter=((cols * params + rows).ravel(), (rows * params + cols).ravel()),
-        curvature=curvature, bone_axes=u, config=config,
+        scatter=((cols * size + rows).ravel(), (rows * size + cols).ravel()),
+        curvature=curvature, still_peak=still_peak, bone_axes=u, config=config,
     )
 
 
@@ -262,9 +282,11 @@ def _normal_equations(system, theta, target, theta_geo, P, G):
     """The Gauss-Newton matrix H = 2 J^T J and the gradient g = 2 J^T r of
     the total loss at theta and its FK result (P, G), in closed form from
     sums over subtrees; the Jacobian J is never formed. Every argument may
-    carry leading frame axes, as theta (..., N, 3) does. Returns H's nonzero
-    blocks (..., B, 3, 3), in system.pairs order, to be put in H at
-    system.scatter, and g (..., params).
+    carry leading frame axes, as theta (..., N, 3) does. Returns the nonzero
+    blocks of H among the coupled unknowns (..., B, 3, 3), in system.pairs
+    order, to be put in their H at system.scatter, and g (..., params) of
+    every unknown. The still joints' blocks are the constant prior and twist
+    curvature, and _damped_steps reads them from the config.
 
     Joint i's theta turns its subtree at the world rate Omega_i =
     G_parent(i) J_l(theta_i) (left_jacobian), so with Q = P - P_root the
@@ -275,15 +297,18 @@ def _normal_equations(system, theta, target, theta_geo, P, G):
         C_j = sum_k [Q_k]_x^T [Q_k - Q_j]_x,  s_j = sum_k (Q_k - Q_j),
         g_i = 2/Nv Omega_i^T sum_k (Q_k - Q_i) x (P_k - target_k),
     with k over j's (for g, i's) valid strict descendants; H_ji = H_ij^T and
-    the other blocks are 0. The sums come from one product with W
-    (_descendant_mask). With the root translation fitted, it moves every
-    valid joint: its blocks are 2 I against itself and 2/Nv Omega_i^T [s_i]_x
+    the other blocks are 0. The sums come from one product with the coupled
+    joints' rows of W (_descendant_mask); a still joint has no k, so its
+    position blocks and gradient are 0, and Omega is built for the coupled
+    joints alone. With the root translation fitted, it moves every valid
+    joint: its blocks are 2 I against itself and 2/Nv Omega_i^T [s_i]_x
     against joint i, and its gradient 2/Nv sum_k (P_k - target_k). The
     constant prior and twist blocks and their gradient are added.
     """
     lead, n = theta.shape[:-2], theta.shape[-2]
     config = system.config
-    Om = left_jacobian(theta)
+    coupled = system.coupled
+    Om = left_jacobian(theta[..., coupled, :])
     Om[..., 1:, :, :] = G[..., system.parents, :, :] @ Om[..., 1:, :, :]
     Omt = np.swapaxes(Om, -1, -2)
     Q = P - P[..., :1, :]
@@ -294,11 +319,12 @@ def _normal_equations(system, theta, target, theta_geo, P, G):
     F[..., 3:12] = (np.swapaxes(KQ, -1, -2) @ KQ).reshape(lead + (n, 9))
     F[..., 12:15] = res
     F[..., 15:] = (KQ @ res[..., None])[..., 0]
-    S = system.W @ F  # the same, summed over each joint's valid strict descendants
-    s = S[..., :3] - system.counts[:, None] * Q
-    C = S[..., 3:12].reshape(lead + (n, 3, 3)) + skew(S[..., :3]) @ KQ
+    S = system.W @ F  # the same, summed over each coupled joint's valid strict descendants
+    Qc, KQc = Q[..., coupled, :], KQ[..., coupled, :, :]
+    s = S[..., :3] - system.counts[:, None] * Qc
+    C = S[..., 3:12].reshape(lead + (coupled.size, 3, 3)) + skew(S[..., :3]) @ KQc
     # H_ij = L_i R_j with L_i = Omega_i^T [I, [Q_i]_x], R_j = 2/Nv [C_j; [s_j]_x] Omega_j
-    L = np.concatenate([Omt, Omt @ KQ], axis=-1)
+    L = np.concatenate([Omt, Omt @ KQc], axis=-1)
     R = np.concatenate([C @ Om, skew(s) @ Om], axis=-2)
     R *= system.scale
     i, j = system.pairs
@@ -306,16 +332,16 @@ def _normal_equations(system, theta, target, theta_geo, P, G):
     blocks = np.zeros(lead + (len(i), 3, 3))
     np.matmul(L[..., i[:m], :, :], R[..., j[:m], :, :], out=blocks[..., :m, :, :])
     if config.fit_root_translation:  # 2/Nv Omega_i^T [s_i]_x
-        blocks[..., m : m + n, :, :] = -np.swapaxes(R[..., 3:, :], -1, -2)
+        blocks[..., m : m + coupled.size, :, :] = -np.swapaxes(R[..., 3:, :], -1, -2)
     blocks[..., system.diagonal, :, :] += system.curvature
     # sum_k (Q_k - Q_i) x r_k = sum_k Q_k x r_k - Q_i x sum_k r_k
-    turn = S[..., 15:] - (KQ @ S[..., 12:15, None])[..., 0]
+    turn = S[..., 15:] - (KQc @ S[..., 12:15, None])[..., 0]
     u = system.bone_axes
     twist = np.einsum("...ic,ic->...i", theta, u)[..., None] * u
+    grad = (2.0 / n) * (config.lambda_prior * (theta - theta_geo) + config.lambda_twist * twist)
+    grad[..., coupled, :] += system.scale * (Omt @ turn[..., None])[..., 0]
     g = np.empty(lead + (system.params,))
-    g[..., : 3 * n] = (system.scale * (Omt @ turn[..., None])[..., 0]
-                       + (2.0 / n) * (config.lambda_prior * (theta - theta_geo)
-                                      + config.lambda_twist * twist)).reshape(lead + (3 * n,))
+    g[..., : 3 * n] = grad.reshape(lead + (3 * n,))
     if config.fit_root_translation:
         g[..., 3 * n :] = system.scale * res.sum(axis=-2)
     return blocks, g
@@ -331,6 +357,40 @@ def _damped_step(H, g, mu):
     return delta if info == 0 else None
 
 
+def _damped_steps(system, blocks, g, mu, frames):
+    """The steps delta (K, params) of (H + mu I) delta = -g of the K frames
+    with indices frames into the stacks blocks and g (_normal_equations) and
+    mu. H is block diagonal: each still joint's block is a I + b u u^T, a =
+    2 lambda_prior/N, b = 2 lambda_twist/N and u its bone axis, a unit vector
+    or 0, so its step is -g/(a + mu) - (u.g) (1/(a + b + mu) - 1/(a + mu)) u,
+    taken for every joint of every frame at once; the coupled unknowns' part
+    is then laid out from the blocks, one frame at a time in one dense
+    matrix, and its Cholesky solution (_damped_step) replaces their steps. A
+    frame whose coupled part does not factor takes a zero step in every
+    unknown."""
+    n, config = system.mask.size, system.config
+    gs = g[frames, : 3 * n].reshape(-1, n, 3)
+    u = system.bone_axes
+    a, b = (2.0 / n) * config.lambda_prior, (2.0 / n) * config.lambda_twist
+    across = -1.0 / (a + mu[frames])
+    along = -1.0 / (a + b + mu[frames]) - across
+    steps = np.zeros((frames.size, system.params))
+    steps[:, : 3 * n] = (across[:, None, None] * gs + (along[:, None] * np.einsum(
+        "kic,ic->ki", gs, u))[..., None] * u).reshape(-1, 3 * n)
+    unknowns = system.unknowns
+    if unknowns.size:
+        H = np.zeros((unknowns.size, unknowns.size))  # the places of no block stay 0
+        for row, k in enumerate(frames.tolist()):
+            H.put(system.scatter[0], blocks[k])  # each block's transpose below the diagonal,
+            H.put(system.scatter[1], blocks[k])  # then the block above it, or on it as it is
+            delta = _damped_step(H, g[k, unknowns], mu[k])
+            if delta is None:
+                steps[row] = 0.0
+            else:
+                steps[row, unknowns] = delta
+    return steps
+
+
 def refine_clip(skeleton, targets, theta_init, theta_geo, mask=None, config=None,
                 root_translation=None):
     """Damped least-squares refinement of every frame of a clip from
@@ -338,12 +398,15 @@ def refine_clip(skeleton, targets, theta_init, theta_geo, mask=None, config=None
     translations (T, 3), zeros by default, are the start's and the anchor's.
     Returns one FrameFitResult per frame.
 
-    Each iteration of a frame solves (H + mu I) delta = -g by Cholesky, with
-    H = 2 J^T J and g from first derivatives only (_normal_equations). A
+    Each iteration of a frame solves (H + mu I) delta = -g, with H = 2 J^T J
+    and g from first derivatives only (_normal_equations): by Cholesky among
+    the coupled joints and the fitted root translation, and in closed form
+    for each still joint, whose block of H stands alone (_damped_steps). A
     trial step is accepted only when the total loss decreases; otherwise, and
-    when H + mu I does not factor, the damping grows. It follows
-    Marquardt-Nielsen's gain-ratio rule (Madsen, Nielsen & Tingleff 2004,
-    sec. 3.2): it starts at _TAU * max diag(H), an accepted step scales it by
+    when the coupled part of H + mu I does not factor, the damping grows. It
+    follows Marquardt-Nielsen's gain-ratio rule (Madsen, Nielsen & Tingleff
+    2004, sec. 3.2): it starts at _TAU * max diag(H), the still joints'
+    constant blocks included, an accepted step scales it by
     max(1/3, 1 - (2 rho - 1)^3), rho the actual over the predicted decrease,
     and a rejection by nu, which doubles per rejection in a row. So a frame's
     accepted losses never rise, and it never scores above its start.
@@ -380,9 +443,8 @@ def refine_clip(skeleton, targets, theta_init, theta_geo, mask=None, config=None
     accepted = [[total] for total in terms[:, 0].tolist()]
     blocks = np.empty((frames, len(system.pairs[0]), 3, 3))
     g = np.empty((frames, system.params))
-    H = np.zeros((system.params, system.params))  # one frame's H at a time; the rest stays 0
     # frames per _normal_equations call, whose pair temporaries stay under 256 KB
-    chunk = max(1, (1 << 18) // (len(system.pairs[0]) * 45 * 8))
+    chunk = max(1, (1 << 18) // (max(1, len(system.pairs[0])) * 45 * 8))
     mu, nu = None, np.full(frames, 2.0)
     iters, trials = np.zeros(frames, dtype=int), np.zeros(frames, dtype=int)
     stop = np.full(frames, None, dtype=object)  # None while the frame runs
@@ -394,7 +456,8 @@ def refine_clip(skeleton, targets, theta_init, theta_geo, mask=None, config=None
                     system, x[ks, : 3 * n].reshape(-1, n, 3), targets[ks], geo[ks], P[ks], G[ks])
             stop[start[np.max(np.abs(g[start]), axis=1) < _GRAD_TOL]] = "grad_tol"
             if mu is None:  # every frame starts here: > 0 wherever g != 0
-                mu = _TAU * np.max(np.diagonal(blocks[:, system.diagonal], 0, -2, -1), axis=(1, 2))
+                mu = _TAU * np.max(np.diagonal(blocks[:, system.diagonal], 0, -2, -1),
+                                   axis=(1, 2), initial=system.still_peak)
         active = np.flatnonzero(np.equal(stop, None))
         exhausted = active[mu[active] >= 1.0 / _STEP_UNDERFLOW]
         iters[exhausted] += 1
@@ -403,14 +466,8 @@ def refine_clip(skeleton, targets, theta_init, theta_geo, mask=None, config=None
         if not active.size:
             break
         trials[active] += 1
-        # a step that fails to factor stays 0: the loss does not fall, so it is rejected
-        steps = np.zeros((active.size, system.params))
-        for row, k in enumerate(active.tolist()):
-            H.put(system.scatter[0], blocks[k])  # each block's transpose below the diagonal,
-            H.put(system.scatter[1], blocks[k])  # then the block above it, or on it as it is
-            delta = _damped_step(H, g[k], mu[k])
-            if delta is not None:
-                steps[row] = delta
+        # a step that fails to factor is 0: the loss does not fall, so it is rejected
+        steps = _damped_steps(system, blocks, g, mu, active)
         x_new = x[active]
         x_new[:, : system.params] += steps
         terms_new, P_new, G_new = evaluate(active, x_new)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from rigfit import JointTrajectory
 from rigfit.bvh import parse_bvh
-from rigfit.cli import main
+from rigfit.cli import build_parser, main
 from rigfit.metrics import mpjpe
 from rigfit.skeleton import fk_sequence
 from rigfit.trajectory import load_trajectory, save_trajectory
@@ -302,6 +302,21 @@ class TestBadInputProperties:
         with tempfile.TemporaryDirectory() as tmp:
             assert exit_code("fit", "--rig", STAR, "--traj", js, "--out",
                              os.path.join(tmp, "o.bvh"), f"{flag}={value}") in (0, 2)
+
+
+class TestOneProcess:
+    def test_commands_in_a_row_share_one_parser(self, tmp_path, capsys):
+        # the parser is built once per process; each command still parses
+        # its own flags, and a usage error leaves the next command unharmed
+        _, js = synth_pair(tmp_path, frames=3)
+        out = str(tmp_path / "fit.bvh")
+        assert exit_code("fit", "--rig", RIG, "--traj", js, "--out", out) == 0
+        assert exit_code("eval", "--pred", out, "--gt", js, "--metric", "mpjpe") == 0
+        assert json.loads(capsys.readouterr().out)["mpjpe"] < 1e-3
+        assert exit_code("eval", "--pred", out, "--gt", js, "--no-such-flag") == 2
+        assert exit_code("inspect", "--rig", RIG) == 0
+        assert "Hips" in capsys.readouterr().out
+        assert build_parser() is build_parser()
 
 
 class TestEval:

@@ -24,6 +24,7 @@ from rigfit.fit import (
     STOP_REASONS,
     _bone_axes,
     _damped_step,
+    _damped_steps,
     _descendant_mask,
     _normal_equations,
     _normal_system,
@@ -392,15 +393,33 @@ def position_rows(sk, theta, target, mask, cfg, root=None):
     )
 
 
-def normal_equations(sk, theta, target, geo, mask, cfg, root=None):
-    """_normal_equations at theta and root, from a fresh FK: (dense H, g)."""
+def normal_blocks(sk, theta, target, geo, mask, cfg, root=None):
+    """_normal_equations at theta and root, from a fresh FK: (system, blocks, g)."""
     P, G = fk_positions_and_frames(sk, theta, np.zeros(3) if root is None else root)
     system = _normal_system(sk, mask, cfg)
-    blocks, g = _normal_equations(system, theta, target, geo, P, G)
+    return (system,) + _normal_equations(system, theta, target, geo, P, G)
+
+
+def dense_matrix(sk, system, blocks, cfg):
+    """The whole params x params H: the coupled blocks at the coupled
+    unknowns, and each still joint's constant prior and twist block."""
+    size = system.unknowns.size
+    coupled = np.zeros((size, size))
+    coupled.put(system.scatter[0], blocks)  # each block's transpose, then the block as it is
+    coupled.put(system.scatter[1], blocks)
     H = np.zeros((system.params, system.params))
-    H.put(system.scatter[0], blocks)  # each block's transpose, then the block as it is
-    H.put(system.scatter[1], blocks)
-    return H, g
+    H[np.ix_(system.unknowns, system.unknowns)] = coupled
+    u = _bone_axes(sk)
+    for k in np.setdiff1d(np.arange(sk.joint_count), system.coupled).tolist():
+        H[3 * k : 3 * k + 3, 3 * k : 3 * k + 3] = (2.0 / sk.joint_count) * (
+            cfg.lambda_prior * np.eye(3) + cfg.lambda_twist * np.outer(u[k], u[k]))
+    return H
+
+
+def normal_equations(sk, theta, target, geo, mask, cfg, root=None):
+    """_normal_equations at theta and root, from a fresh FK: (dense H, g)."""
+    system, blocks, g = normal_blocks(sk, theta, target, geo, mask, cfg, root)
+    return dense_matrix(sk, system, blocks, cfg), g
 
 
 @st.composite
@@ -503,6 +522,96 @@ class TestResidualJacobian:
         for got, want in ((g, 2.0 * (J.T @ r)), (H, 2.0 * (J.T @ J))):
             np.testing.assert_allclose(got, want, rtol=0.0,
                                        atol=1e-12 * max(1.0, np.abs(want).max()))
+
+
+@st.composite
+def step_problems(draw):
+    """A normal_problems problem whose mask may instead empty a whole
+    subtree, or leave the root the only valid joint, so that no joint is
+    coupled; and a damping of 1e-2 to 10 times H's largest diagonal entry."""
+    sk, theta, target, geo, mask, cfg, root = draw(normal_problems())
+    n = sk.joint_count
+    kind = draw(st.sampled_from(["drawn", "subtree", "root only"]))
+    if kind == "subtree":
+        top = draw(st.integers(0, n - 1))
+        hidden = sk.descendants[top] | (np.arange(n) == top)
+        if np.any(mask & ~hidden):
+            mask = mask & ~hidden
+    elif kind == "root only":
+        mask = np.arange(n) == 0
+        target[0] = fk_positions_and_frames(sk, theta, root)[0][0] + 0.1
+    target[~mask] = np.nan
+    return sk, theta, target, geo, mask, cfg, root, 10.0 ** draw(st.floats(-2.0, 1.0))
+
+
+class TestSplitDampedStep:
+    """_damped_steps factors only the coupled joints and the fitted root
+    translation, and steps every still joint in closed form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_problems())
+    def test_equals_dense_solve(self, problem):
+        sk, theta, target, geo, mask, cfg, root, factor = problem
+        system, blocks, g = normal_blocks(sk, theta, target, geo, mask, cfg, root)
+        # the coupled joints are those with a valid strict descendant
+        valid_below = (sk.descendants & mask).any(axis=1)
+        assert system.coupled.tolist() == np.flatnonzero(valid_below).tolist()
+        H = dense_matrix(sk, system, blocks, cfg)
+        mu = factor * (np.max(np.diag(H)) or 1.0)
+        step = _damped_steps(system, blocks[None], g[None], np.array([mu]), np.arange(1))[0]
+        want = np.linalg.solve(H + mu * np.eye(system.params), -g)
+        np.testing.assert_allclose(step, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_no_coupled_joint(self, rng, n):
+        # a 1-joint rig, or a chain whose only valid joint is the root,
+        # without root fitting: the factored system is empty, and every
+        # joint steps in closed form to the minimum of its prior and twist
+        sk = validate_skeleton([f"j{i}" for i in range(n)], list(range(-1, n - 1)),
+                               rng.normal(size=(n, 3)) * 0.3)
+        mask = np.arange(n) == 0
+        cfg = FitConfig(lambda_prior=1e-3, lambda_twist=0.2)
+        system = _normal_system(sk, mask, cfg)
+        assert system.unknowns.size == 0 and len(system.pairs[0]) == 0
+        frames = 3
+        targets = np.full((frames, n, 3), np.nan)
+        targets[:, 0] = rng.normal(size=(frames, 3))
+        geo = rng.normal(size=(frames, n, 3))
+        init = geo + rng.normal(size=(frames, n, 3))
+        results = refine_clip(sk, targets, init, geo, mask, cfg, targets[:, 0])
+        for t, res in enumerate(results):
+            assert res.stop == "grad_tol" and res.iterations_used > 0
+            assert res.final_loss < res.accepted_losses[0]
+            g = fit_loss_gradient(sk, res.rotations, targets[t], geo[t], mask, cfg,
+                                  res.root_translation)
+            assert np.max(np.abs(g)) < fit_module._GRAD_TOL
+
+    def test_unfactorable_frame_leaves_still_joints_unmoved(self):
+        # the a-b-c chain of test_unfactorable_damped_matrix_is_a_rejected_trial
+        # with a masked leaf d under a: a and b stay coupled with equal columns
+        # of H, and d is still, with a prior gradient so small that only a
+        # damping below H's rounding gives it a step of its own
+        sk = validate_skeleton(["a", "b", "c", "d"], [-1, 0, 1, 0],
+                               [[0, 0, 0], [0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]])
+        mask = np.array([True, False, True, False])
+        target = np.array([[0.0, 0.0, 0.0], [np.nan] * 3, [0.0, 1.0, 0.0], [np.nan] * 3])
+        cfg = FitConfig(lambda_prior=1e-20, lambda_twist=0.0)
+        theta = np.zeros((4, 3))
+        theta[3] = [0.3, 0.0, 0.0]
+        system, blocks, g = normal_blocks(sk, theta, target, np.zeros((4, 3)), mask, cfg)
+        assert system.coupled.tolist() == [0, 1]  # c and d are still
+        mu = np.array([1e-20, 0.5])
+        H = dense_matrix(sk, system, blocks, cfg)
+        coupled = H[np.ix_(system.unknowns, system.unknowns)]
+        assert _damped_step(coupled, g[system.unknowns], mu[0]) is None
+        a = 2.0 * cfg.lambda_prior / 4
+        assert np.max(np.abs(g[9:] / (a + mu[0]))) > 0.05  # the step d would take
+        steps = _damped_steps(system, np.stack([blocks] * 2), np.stack([g] * 2), mu,
+                              np.arange(2))
+        assert np.all(steps[0] == 0.0)
+        np.testing.assert_allclose(steps[1], np.linalg.solve(H + mu[1] * np.eye(12), -g),
+                                   rtol=1e-12, atol=1e-15)
+        assert np.any(steps[1, system.unknowns] != 0.0) and np.any(steps[1, 9:] != 0.0)
 
 
 class TestRefineFrame:
@@ -666,6 +775,7 @@ class TestRefineFrame:
         mask = np.array([True, False, True])
         target = np.array([[0.0, 0.0, 0.0], [np.nan] * 3, [0.0, 1.0, 0.0]])
         cfg = FitConfig(lambda_prior=0.0, lambda_twist=0.0)
+        assert _normal_system(sk, mask, cfg).coupled.tolist() == [0, 1]  # a and b are factored
         res = refine_frame(sk, target, np.zeros((3, 3)), np.zeros((3, 3)), mask, cfg)
         assert infos[0] > 0 and infos[-1] == 0
         assert res.trials == len(infos) > res.iterations_used
@@ -768,6 +878,28 @@ class TestGainRatioDamping:
             assert res.stop == "max_iters"
             steps[scale] = res.pose.rotations
         np.testing.assert_allclose(steps[1e3], steps[1.0], atol=1e-8)
+
+    def test_first_damping_counts_still_joints(self, rng):
+        # short bones and a heavy twist weight: the leaf c, still, lies along
+        # x, and b along the diagonal, so c's constant block holds H's
+        # largest diagonal entry, and the first damping is _TAU times it
+        sk = validate_skeleton(["a", "b", "c"], [-1, 0, 1],
+                               [[0, 0, 0], [0.01, 0.01, 0.01], [0.01, 0, 0]])
+        cfg = FitConfig(lambda_prior=0.0, lambda_twist=0.3, max_iters=1)
+        target = fk_positions_and_frames(sk, rng.normal(size=(3, 3)) * 0.3, np.zeros(3))[0]
+        geo = rng.normal(size=(3, 3)) * 0.3
+        init = geo + rng.normal(size=(3, 3)) * 0.3
+        mask = np.ones(3, dtype=bool)
+        system, blocks, g = normal_blocks(sk, init, target, geo, mask, cfg)
+        H = dense_matrix(sk, system, blocks, cfg)
+        assert system.coupled.tolist() == [0, 1] and system.still_peak == np.max(np.diag(H))
+        assert system.still_peak > np.max(np.diag(H[np.ix_(system.unknowns, system.unknowns)]))
+        res = refine_frame(sk, target, init, geo, mask, cfg)
+        assert res.trials == 1 and res.iterations_used == 1
+        mu = fit_module._TAU * system.still_peak
+        np.testing.assert_allclose(res.rotations.ravel(),
+                                   init.ravel() + np.linalg.solve(H + mu * np.eye(9), -g),
+                                   rtol=0.0, atol=1e-12)
 
 
 @st.composite
