@@ -6,7 +6,9 @@ Library layout:
   bvh         BVH parser and canonical writer
   normalize   rest-pose and sequence normalization into [-1, 1]^3, from the
               min/max of the points
-  fit         two-stage IK (geometric init + twist-regularized refinement)
+  fit         two-stage IK (geometric init + twist-regularized refinement),
+              a window of frames at a time; FitResult holds a refinement's
+              per-frame results as arrays
   metrics     MPJPE, MPJVE, masked L1, and the skeleton Chamfer distance,
               whose one entry is cd_skeleton on SkeletonInstances
   trajectory  JSON trajectory carrier (masked non-finite coordinates as 0.0)
@@ -20,7 +22,7 @@ from .errors import (
     TrajectoryFormatError,
     ValidationError,
 )
-from .fit import FitConfig, FrameFitResult, fit_sequence, geometric_init, geometric_init_frame
+from .fit import FitConfig, FitResult, fit_sequence, geometric_init, geometric_init_frame
 from .skeleton import (
     AnimationClip,
     JointTrajectory,
@@ -36,7 +38,7 @@ __all__ = [
     "AnimationClip",
     "BvhParseError",
     "FitConfig",
-    "FrameFitResult",
+    "FitResult",
     "JointTrajectory",
     "Pose",
     "RigfitError",

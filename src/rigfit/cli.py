@@ -54,12 +54,12 @@ def _read_text(path):
 
 
 def _load_side(path):
-    """Load a BVH or trajectory JSON evaluation input as (trajectory, parents
-    or None). BVH inputs run through forward kinematics first."""
+    """Load a BVH or trajectory JSON evaluation input as (trajectory, joint
+    names, parents or None). BVH inputs run through forward kinematics first."""
     if path.endswith(".bvh"):
         doc = parse_bvh(_read_text(path))
-        return fk_sequence(doc.skeleton, doc.clip), doc.skeleton.parents
-    return load_trajectory(path)[0], None
+        return fk_sequence(doc.skeleton, doc.clip), doc.skeleton.joint_names, doc.skeleton.parents
+    return (*load_trajectory(path), None)
 
 
 def _normalize_side(traj):
@@ -156,8 +156,15 @@ def cmd_fit(args):
 
 
 def cmd_eval(args):
-    pred, pred_parents = _load_side(args.pred)
-    gt, gt_parents = _load_side(args.gt)
+    pred, pred_names, pred_parents = _load_side(args.pred)
+    gt, gt_names, gt_parents = _load_side(args.gt)
+    if list(gt_names) != list(pred_names) and set(gt_names) == set(pred_names):
+        # the same joints in another order: pair them by name, in pred's order
+        order = [gt_names.index(name) for name in pred_names]
+        gt = dataclasses.replace(gt, positions=gt.positions[:, order], mask=gt.mask[order])
+        if gt_parents is not None:  # each parent moves to its new index, the root's stays -1
+            parents = gt_parents[order]
+            gt_parents = np.where(parents >= 0, np.argsort(order)[parents], -1)
     if pred.frame_count != gt.frame_count:
         raise ValidationError("frame count mismatch between pred and gt")
     if pred.joint_count == gt.joint_count:

@@ -27,6 +27,7 @@ _STEP_UNDERFLOW = 1e-16  # a damping above 1/_STEP_UNDERFLOW ends the refinement
 _TAU = 0.1  # the first damping is _TAU * max diag(H)
 _MU_FLOOR = 1e-12  # an accepted step never lowers the damping below this
 _GRAD_TOL = 1e-6  # refinement stops once max |gradient| falls below this
+_WINDOW = 256  # frames per geometric_init and refine_clip call of fit_sequence
 
 STOP_REASONS = ("grad_tol", "max_iters", "damping_exhausted")
 
@@ -55,23 +56,25 @@ class LossTerms(NamedTuple):
     twist: float
 
 
-@dataclass(frozen=True)
-class FrameFitResult:
-    """One refined frame: rotations (N, 3), not yet canonicalized, and root
-    translation (3,). stop is one of STOP_REASONS; trials counts the accepted
-    and the rejected trial steps."""
+class FitResult(NamedTuple):
+    """The refinement of T frames, as arrays over the frames: rotations
+    (T, N, 3), not yet canonicalized, root translations (T, 3), the final
+    loss terms (T, 4) in LossTerms order, iterations, trials (the accepted
+    and the rejected trial steps) and stop reasons (STOP_REASONS), each
+    (T,), and per frame a tuple of its accepted total losses. A result of
+    one frame (refine_frame) holds each field without the frame axis."""
 
     rotations: np.ndarray
     root_translation: np.ndarray
-    final_loss: float
-    iterations_used: int
-    loss_terms: LossTerms
+    loss_terms: np.ndarray
+    iterations_used: np.ndarray
+    trials: np.ndarray
+    stop: np.ndarray
     accepted_losses: tuple
-    stop: str
-    trials: int
 
     @property
     def pose(self):
+        """The Pose of a result of one frame."""
         return Pose(self.rotations, self.root_translation)
 
 
@@ -86,8 +89,7 @@ def _solve_levels(skeleton):
     and those children in ascending order, (L, K), padded with -1."""
     for level in skeleton.levels:  # the children of the joints one level up
         groups = {}
-        for c, p in zip(np.atleast_1d(level.joints).tolist(),
-                        np.atleast_1d(level.parents).tolist()):
+        for c, p in zip(level.joints.tolist(), level.parents.tolist()):
             groups.setdefault(p, []).append(c)
         width = max(map(len, groups.values()))
         yield (np.array(list(groups)),
@@ -396,7 +398,7 @@ def refine_clip(skeleton, targets, theta_init, theta_geo, mask=None, config=None
     """Damped least-squares refinement of every frame of a clip from
     theta_init, anchored at theta_geo, all (T, N, 3) like targets; the root
     translations (T, 3), zeros by default, are the start's and the anchor's.
-    Returns one FrameFitResult per frame.
+    Returns one FitResult of the whole clip.
 
     Each iteration of a frame solves (H + mu I) delta = -g, with H = 2 J^T J
     and g from first derivatives only (_normal_equations): by Cholesky among
@@ -490,27 +492,27 @@ def refine_clip(skeleton, targets, theta_init, theta_geo, mask=None, config=None
         stop[start[iters[start] >= config.max_iters]] = "max_iters"
         start = start[iters[start] < config.max_iters]
 
-    final = terms.tolist()
-    return tuple(
-        FrameFitResult(x[t, : 3 * n].reshape(n, 3), x[t, 3 * n :], final_loss=final[t][0],
-                       iterations_used=used, loss_terms=LossTerms(*final[t]),
-                       accepted_losses=tuple(accepted[t]), stop=stop[t], trials=tried)
-        for t, (used, tried) in enumerate(zip(iters.tolist(), trials.tolist()))
-    )
+    return FitResult(x[:, : 3 * n].reshape(frames, n, 3), x[:, 3 * n :], terms, iters, trials,
+                     stop, tuple(map(tuple, accepted)))
 
 
 def refine_frame(skeleton, target, theta_init, theta_geo, mask=None, config=None,
                  root_translation=None):
     """refine_clip of one frame: target, theta_init and theta_geo (N, 3), and
-    root_translation (3,), zeros by default. Returns its FrameFitResult."""
-    return refine_clip(skeleton, np.asarray(target, dtype=float)[None], theta_init, theta_geo,
-                       mask, config, root_translation)[0]
+    root_translation (3,), zeros by default. Returns its FitResult, each
+    field that of the frame alone."""
+    fit = refine_clip(skeleton, np.asarray(target, dtype=float)[None], theta_init, theta_geo,
+                      mask, config, root_translation)
+    return FitResult(*(field[0] for field in fit))
 
 
 def fit_sequence(skeleton, trajectory, config=None):
-    """Fit a whole trajectory: geometric init of all frames, then every frame
-    refined from its own geometric estimate and anchored there, all in one
-    refine_clip, so that no frame scores above its estimate.
+    """Fit a whole trajectory: geometric init of every frame, then every
+    frame refined from its own geometric estimate and anchored there, so that
+    no frame scores above its estimate. The clip is fitted _WINDOW frames at
+    a time, each window one geometric_init and one refine_clip, so a long
+    clip's working memory stays that of one window; the frames are
+    independent, so the result does not depend on the window.
 
     Root translation is read from the trajectory's root joint and further
     optimized when config.fit_root_translation is set. A masked root gives no
@@ -525,16 +527,22 @@ def fit_sequence(skeleton, trajectory, config=None):
     if not trajectory.mask[0] and not config.fit_root_translation:
         config = replace(config, fit_root_translation=True)
         root_diag = ["root joint masked out: root translation fitted"]
-    rotations, roots, geo_diag = geometric_init(skeleton, trajectory.positions, trajectory.mask)
-    results = refine_clip(skeleton, trajectory.positions, rotations, rotations,
-                          trajectory.mask, config, roots)
-    reports = [
-        {**{f"loss_{term}": v for term, v in result.loss_terms._asdict().items()},
-         "iters": result.iterations_used, "stop": result.stop, "trials": result.trials,
-         "accepted_losses": list(result.accepted_losses), "diagnostics": root_diag + notes}
-        for result, notes in zip(results, geo_diag)
-    ]
-    clip = AnimationClip(np.stack([result.rotations for result in results]),
-                         np.stack([result.root_translation for result in results]),
-                         trajectory.fps)
-    return clip, reports
+    frames, mask = trajectory.frame_count, trajectory.mask
+    rotations = np.empty((frames, skeleton.joint_count, 3))
+    roots = np.empty((frames, 3))
+    reports = []
+    for w in range(0, frames, _WINDOW):
+        window = slice(w, w + _WINDOW)
+        targets = trajectory.positions[window]
+        geo, geo_roots, geo_diag = geometric_init(skeleton, targets, mask)
+        fit = refine_clip(skeleton, targets, geo, geo, mask, config, geo_roots)
+        rotations[window], roots[window] = fit.rotations, fit.root_translation
+        reports += [
+            {**{f"loss_{term}": v for term, v in zip(LossTerms._fields, terms)},
+             "iters": iters, "stop": stop, "trials": trials,
+             "accepted_losses": list(accepted), "diagnostics": root_diag + notes}
+            for terms, iters, stop, trials, accepted, notes in zip(
+                fit.loss_terms.tolist(), fit.iterations_used.tolist(), fit.stop.tolist(),
+                fit.trials.tolist(), fit.accepted_losses, geo_diag)
+        ]
+    return AnimationClip(rotations, roots, trajectory.fps), reports

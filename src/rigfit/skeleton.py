@@ -15,10 +15,10 @@ _ZERO_OFFSET_EPS = 1e-12
 
 class Level(NamedTuple):
     """The joints at one tree depth d >= 1, ascending, and their parents (at
-    depth d - 1). A level of one joint holds two plain ints."""
+    depth d - 1), as read-only arrays."""
 
-    joints: object
-    parents: object
+    joints: np.ndarray
+    parents: np.ndarray
 
 
 class _FkPlan(NamedTuple):
@@ -35,8 +35,7 @@ class _FkPlan(NamedTuple):
 
 
 def _readonly(value):
-    if isinstance(value, np.ndarray):
-        value.flags.writeable = False
+    value.flags.writeable = False
     return value
 
 
@@ -82,15 +81,8 @@ class Skeleton:
         for i in range(1, self.joint_count):
             depth[i] = depth[self.parents[i]] + 1
         depth = np.array(depth)
-        levels = []
-        for d in range(1, depth.max() + 1):
-            joints = np.flatnonzero(depth == d)
-            parents = self.parents[joints]
-            if len(joints) == 1:
-                levels.append(Level(int(joints[0]), int(parents[0])))
-            else:
-                levels.append(Level(_readonly(joints), _readonly(parents)))
-        return tuple(levels)
+        levels = (np.flatnonzero(depth == d) for d in range(1, depth.max() + 1))
+        return tuple(Level(_readonly(joints), _readonly(self.parents[joints])) for joints in levels)
 
     @cached_property
     def descendants(self):
@@ -104,16 +96,15 @@ class Skeleton:
 
     @cached_property
     def _fk_plan(self):
-        joints = np.concatenate([[0]] + [np.atleast_1d(lv.joints) for lv in self.levels])
+        joints = np.concatenate([[0]] + [level.joints for level in self.levels])
         rows = np.argsort(joints)
         steps, start = [], 1
         for level in self.levels:
             parents = rows[level.parents]
-            if isinstance(level.joints, int):
-                steps.append((start, int(parents)))
-            else:
-                steps.append((slice(start, start + len(parents)), _readonly(parents)))
-            start += np.size(level.joints)
+            size = parents.size
+            steps.append((start, int(parents[0])) if size == 1 else
+                         (slice(start, start + size), _readonly(parents)))
+            start += size
         return _FkPlan(_readonly(joints), _readonly(rows), tuple(steps),
                        _readonly(rows[self.parents[joints[1:]]]),
                        _readonly(self.offsets[joints[1:], :, None]))

@@ -406,6 +406,24 @@ class TestEval:
         assert report["cds"] is None
         assert report["mpjpe"] == pytest.approx(0.0, abs=1e-5)
 
+    @pytest.mark.parametrize("permuted", ["pred", "gt"])
+    def test_joints_paired_by_name(self, tmp_path, capsys, permuted):
+        # the chain's joints listed Spine, Head, Hips, with Head masked and
+        # moved: both inputs are scored joint by joint by name, and cds,
+        # which borrows the BVH side's parents, keeps the Hips-Spine bone
+        bvh, js = synth_pair(tmp_path)
+        obs, names = load_trajectory(self.mask_and_move(tmp_path, js, 2))
+        order = [1, 2, 0]
+        perm = str(tmp_path / "perm.json")
+        save_trajectory(perm, JointTrajectory(obs.positions[:, order], obs.mask[order], obs.fps),
+                        [names[i] for i in order])
+        pred, gt = (perm, bvh) if permuted == "pred" else (bvh, perm)
+        assert run("eval", "--pred", pred, "--gt", gt) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mpjpe"] == pytest.approx(0.0, abs=1e-5)
+        assert report["mpjve"] == pytest.approx(0.0, abs=1e-3)
+        assert report["cds"] == pytest.approx(0.0, abs=1e-5)
+
     def test_no_shared_valid_joint_exit_2(self, tmp_path, caplog):
         _, js = synth_pair(tmp_path)
         traj, names = load_trajectory(js)

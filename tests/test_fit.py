@@ -1,5 +1,6 @@
 """Two-stage IK: geometric initialization, loss/gradient, refinement, sequence fit."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -578,12 +579,12 @@ class TestSplitDampedStep:
         targets[:, 0] = rng.normal(size=(frames, 3))
         geo = rng.normal(size=(frames, n, 3))
         init = geo + rng.normal(size=(frames, n, 3))
-        results = refine_clip(sk, targets, init, geo, mask, cfg, targets[:, 0])
-        for t, res in enumerate(results):
-            assert res.stop == "grad_tol" and res.iterations_used > 0
-            assert res.final_loss < res.accepted_losses[0]
-            g = fit_loss_gradient(sk, res.rotations, targets[t], geo[t], mask, cfg,
-                                  res.root_translation)
+        fit = refine_clip(sk, targets, init, geo, mask, cfg, targets[:, 0])
+        assert np.all(fit.stop == "grad_tol") and np.all(fit.iterations_used > 0)
+        for t, accepted in enumerate(fit.accepted_losses):
+            assert fit.loss_terms[t, 0] < accepted[0]
+            g = fit_loss_gradient(sk, fit.rotations[t], targets[t], geo[t], mask, cfg,
+                                  fit.root_translation[t])
             assert np.max(np.abs(g)) < fit_module._GRAD_TOL
 
     def test_unfactorable_frame_leaves_still_joints_unmoved(self):
@@ -648,7 +649,7 @@ class TestRefineFrame:
         P = forward_kinematics(sk, res.pose)
         lengths = np.linalg.norm(P[1:] - P[sk.parents[1:]], axis=1)
         np.testing.assert_allclose(lengths, np.linalg.norm(sk.offsets[1:], axis=1), rtol=1e-9)
-        assert np.isfinite(res.final_loss)
+        assert np.isfinite(res.loss_terms[0])
 
     def test_monotone_accepted_losses(self, rng):
         for _ in range(10):
@@ -672,7 +673,7 @@ class TestRefineFrame:
             sk, bad_init, target, geo.rotations, np.ones(n, bool), FitConfig()
         ).total
         assert res.accepted_losses[0] == start_loss
-        assert res.final_loss <= start_loss
+        assert res.loss_terms[0] <= start_loss
 
     @pytest.mark.parametrize("fit_root", [False, True])
     def test_one_fk_per_loss_evaluation(self, rng, monkeypatch, fit_root):
@@ -746,7 +747,7 @@ class TestRefineFrame:
         init = geo_rot[0] + 0.5 * rng.normal(size=(n, 3))
         res = refine_frame(sk, positions[0], init, geo_rot[0], mask, cfg, geo_root[0])
         assert res.stop in STOP_REASONS and res.iterations_used > 2
-        assert np.all(np.isfinite(res.pose.rotations)) and np.isfinite(res.final_loss)
+        assert np.all(np.isfinite(res.pose.rotations)) and np.isfinite(res.loss_terms[0])
         np.testing.assert_allclose(res.pose.rotations[-3:], init[-3:], rtol=0.0, atol=1e-12)
         fitted, reports = fit_sequence(sk, JointTrajectory(positions, mask, 30.0), cfg)
         assert np.all(np.isfinite(fitted.rotations))
@@ -779,7 +780,7 @@ class TestRefineFrame:
         res = refine_frame(sk, target, np.zeros((3, 3)), np.zeros((3, 3)), mask, cfg)
         assert infos[0] > 0 and infos[-1] == 0
         assert res.trials == len(infos) > res.iterations_used
-        assert res.stop == "grad_tol" and res.final_loss < 1e-12
+        assert res.stop == "grad_tol" and res.loss_terms[0] < 1e-12
         assert np.all(np.isfinite(res.pose.rotations))
         assert np.all(np.diff(res.accepted_losses) <= 0.0)
 
@@ -859,7 +860,7 @@ class TestGainRatioDamping:
         sk, target, init, geo, mask, config, root = warm_start_frame(**frame)
         want, oracle_iters = reference_refine_frame(sk, target, init, geo, mask, config, root)
         res = refine_frame(sk, target, init, geo, mask, config, root)
-        assert res.final_loss == pytest.approx(want, rel=1e-6)
+        assert res.loss_terms[0] == pytest.approx(want, rel=1e-6)
         assert res.iterations_used < oracle_iters
 
     def test_first_damping_scales_with_curvature(self, rng, monkeypatch):
@@ -956,15 +957,14 @@ class TestRefineClip:
     takes on that frame alone."""
 
     @staticmethod
-    def assert_as_alone(results, sk, targets, init, geo, mask, config, roots):
-        assert len(results) == len(targets)
-        for t, res in enumerate(results):
+    def assert_as_alone(fit, sk, targets, init, geo, mask, config, roots):
+        assert len(fit.accepted_losses) == len(targets)
+        for t, accepted in enumerate(fit.accepted_losses):
             alone = refine_frame(sk, targets[t], init[t], geo[t], mask, config, roots[t])
-            assert (res.iterations_used, res.trials, res.stop, len(res.accepted_losses)) == \
+            assert (fit.iterations_used[t], fit.trials[t], fit.stop[t], len(accepted)) == \
                 (alone.iterations_used, alone.trials, alone.stop, len(alone.accepted_losses))
-            np.testing.assert_allclose(res.accepted_losses, alone.accepted_losses,
-                                       rtol=1e-10, atol=0.0)
-            np.testing.assert_allclose(res.loss_terms, alone.loss_terms, rtol=1e-10, atol=0.0)
+            np.testing.assert_allclose(accepted, alone.accepted_losses, rtol=1e-10, atol=0.0)
+            np.testing.assert_allclose(fit.loss_terms[t], alone.loss_terms, rtol=1e-10, atol=0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(clip_problems())
@@ -979,9 +979,9 @@ class TestRefineClip:
         positions[exact] = fk_positions_and_frames(sk, theta, roots[exact])[0]
         init[exact] = geo[exact] = theta
         positions[:, ~mask] = np.nan  # masked positions must never be read
-        results = refine_clip(sk, positions, init, geo, mask, config, roots)
-        assert results[exact].iterations_used == 0 and results[exact].stop == "grad_tol"
-        self.assert_as_alone(results, sk, positions, init, geo, mask, config, roots)
+        fit = refine_clip(sk, positions, init, geo, mask, config, roots)
+        assert fit.iterations_used[exact] == 0 and fit.stop[exact] == "grad_tol"
+        self.assert_as_alone(fit, sk, positions, init, geo, mask, config, roots)
 
     def test_unfactorable_damped_matrix_in_a_stack(self, monkeypatch):
         # the fit of test_unfactorable_damped_matrix_is_a_rejected_trial as
@@ -1002,15 +1002,14 @@ class TestRefineClip:
                             for x, y in ((0.6, 0.8), (0.0, 1.0), (1.0, 0.0))])
         cfg = FitConfig(lambda_prior=0.0, lambda_twist=0.0)
         zeros, roots = np.zeros((3, 3, 3)), np.zeros((3, 3))
-        results = refine_clip(sk, targets, zeros, zeros, mask, cfg, roots)
+        fit = refine_clip(sk, targets, zeros, zeros, mask, cfg, roots)
         assert any(info > 0 for info in infos) and infos[-1] == 0
-        assert sum(res.trials for res in results) == len(infos)
-        res = results[1]
-        assert res.trials > res.iterations_used
-        assert res.stop == "grad_tol" and res.final_loss < 1e-12
-        assert np.all(np.diff(res.accepted_losses) <= 0.0)
-        assert results[2].iterations_used == 0  # the rest pose reaches its target
-        self.assert_as_alone(results, sk, targets, zeros, zeros, mask, cfg, roots)
+        assert fit.trials.sum() == len(infos)
+        assert fit.trials[1] > fit.iterations_used[1]
+        assert fit.stop[1] == "grad_tol" and fit.loss_terms[1, 0] < 1e-12
+        assert np.all(np.diff(fit.accepted_losses[1]) <= 0.0)
+        assert fit.iterations_used[2] == 0  # the rest pose reaches its target
+        self.assert_as_alone(fit, sk, targets, zeros, zeros, mask, cfg, roots)
 
 
 class TestFitProperties:
@@ -1025,7 +1024,7 @@ class TestFitProperties:
         assert np.all(np.isfinite(res.pose.root_translation))
         start_loss = fit_loss(sk, geo_rot[0] + perturbation, positions[0], geo_rot[0], mask,
                               config, geo_root[0]).total
-        assert_sound(res.final_loss, res.accepted_losses, res.stop, res.iterations_used,
+        assert_sound(res.loss_terms[0], res.accepted_losses, res.stop, res.iterations_used,
                      start_loss, config)
         assert res.trials >= res.iterations_used
 
@@ -1062,9 +1061,9 @@ class TestFitSequence:
         poses = []
 
         def recording(*args, **kwargs):
-            results = refine_clip(*args, **kwargs)
-            poses.extend(result.pose for result in results)
-            return results
+            fit = refine_clip(*args, **kwargs)
+            poses.extend(map(Pose, fit.rotations, fit.root_translation))
+            return fit
 
         monkeypatch.setattr(fit_module, "refine_clip", recording)
         skn, traj, fitted, reports = self.fitted_roundtrip(rng, 24, 3)
@@ -1179,6 +1178,40 @@ class TestFitSequence:
         for rep in reports:
             assert any("root translation fitted" in d for d in rep["diagnostics"])
 
+    @pytest.mark.parametrize("problem", [
+        dict(n=12, frames=5, seed=21, noise=0.02),
+        dict(n=24, frames=9, seed=22, bone_scale=1.15, noise=0.02, masked=4, fit_root=True),
+        dict(n=10, frames=7, seed=23, noise=0.02, masked=2, masked_root=True),
+    ], ids=["noisy12", "masked24", "masked_root10"])
+    def test_window_never_shows_in_the_output(self, monkeypatch, problem):
+        # fitted 1, 3 or _WINDOW frames at a time, the frames being
+        # independent, the clip and the reports are the same bit for bit
+        sk, trajectory, config = chain_problem(**problem)
+        outputs = []
+        for window in (1, 3, fit_module._WINDOW):
+            monkeypatch.setattr(fit_module, "_WINDOW", window)
+            clip, reports = fit_sequence(sk, trajectory, config)
+            outputs.append((clip.rotations.tobytes(), clip.root_translation.tobytes(), reports))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_memory_is_bounded_by_the_window(self, monkeypatch):
+        # eight windows of 16 frames peak under twice the traced memory of
+        # one: what grows with the clip is its result, not the fit's arrays
+        monkeypatch.setattr(fit_module, "_WINDOW", 16)
+        sk, trajectory, config = chain_problem(24, 128, 31, bone_scale=1.15, noise=0.02,
+                                               masked=4, fit_root=True)
+        short = JointTrajectory(trajectory.positions[:16], trajectory.mask, trajectory.fps)
+        fit_sequence(sk, short, config)  # one-time allocations fall outside the trace
+        peaks = []
+        for traj in (short, trajectory):
+            tracemalloc.start()
+            try:
+                fit_sequence(sk, traj, config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
+
 
 def chain_fit_losses(sk, trajectory, config):
     """The warm-start chain that fit_sequence once ran, kept as a reference:
@@ -1193,16 +1226,17 @@ def chain_fit_losses(sk, trajectory, config):
     for t, target in enumerate(trajectory.positions):
         res = refine_frame(sk, target, start, geo_rot[t], mask, config, geo_root[t])
         geo_loss = fit_loss(sk, geo_rot[t], target, geo_rot[t], mask, config, geo_root[t]).total
-        if geo_loss < res.final_loss:
+        if geo_loss < res.loss_terms[0]:
             losses.append(geo_loss)
             start = Pose(rotations=geo_rot[t]).rotations
         else:
-            losses.append(res.final_loss)
+            losses.append(res.loss_terms[0])
             start = res.pose.rotations
     return np.array(losses)
 
 
-def chain_problem(n, frames, seed, bone_scale=1.0, noise=0.0, masked=0, fit_root=False):
+def chain_problem(n, frames, seed, bone_scale=1.0, noise=0.0, masked=0, fit_root=False,
+                  masked_root=False):
     """A random clip like perfbench's: (skeleton, trajectory, config)."""
     rng = np.random.default_rng(seed)
     sk = random_skeleton(rng, n)
@@ -1210,6 +1244,7 @@ def chain_problem(n, frames, seed, bone_scale=1.0, noise=0.0, masked=0, fit_root
     positions = positions + rng.normal(size=(1, 1, 3)) + noise * rng.normal(size=positions.shape)
     mask = np.ones(n, dtype=bool)
     mask[rng.choice(np.arange(1, n), size=masked, replace=False)] = False
+    mask[0] = not masked_root
     return sk, JointTrajectory(positions, mask, 30.0), FitConfig(fit_root_translation=fit_root)
 
 

@@ -160,9 +160,7 @@ class TestLevelOrder:
         sk, _ = tree
         depth = {0: 0}
         for d, (joints, parents) in enumerate(sk.levels, start=1):
-            if isinstance(joints, int):  # a single joint is held as plain ints
-                assert isinstance(parents, int)
-            joints, parents = np.atleast_1d(joints), np.atleast_1d(parents)
+            assert isinstance(joints, np.ndarray) and isinstance(parents, np.ndarray)
             assert len(joints) > 0 and list(joints) == sorted(joints)
             assert list(parents) == [sk.parents[j] for j in joints]
             for j, p in zip(joints, parents):
@@ -192,8 +190,8 @@ class TestLevelOrder:
 
     def test_levels_are_read_only(self, rng):
         sk = random_skeleton(rng, 30)
-        arrays = [a for level in sk.levels for a in level if isinstance(a, np.ndarray)]
-        assert arrays
+        arrays = [a for level in sk.levels for a in level]
+        assert arrays and all(isinstance(a, np.ndarray) for a in arrays)
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0
